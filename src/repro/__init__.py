@@ -4,8 +4,7 @@ on Dissimilarity and Coverage" (Drosou & Pitoura, VLDB 2013).
 Public surface:
 
 * :func:`disc_select` / :func:`execute_request` / :class:`DiscSession` —
-  the typed request pipeline (``SelectRequest`` in, ``DiscResult`` out;
-  :class:`DiscDiversifier` is the deprecated session name).
+  the typed request pipeline (``SelectRequest`` in, ``DiscResult`` out).
 * :mod:`repro.requests` — ``SelectRequest`` / ``EngineSpec`` request
   objects with JSON round-trip.
 * :mod:`repro.engines` — engine capability registry + adjacency LRU.
@@ -21,7 +20,6 @@ Public surface:
 """
 
 from repro.api import (
-    DiscDiversifier,
     DiscSession,
     build_index,
     disc_select,
@@ -54,7 +52,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "DiscSession",
-    "DiscDiversifier",
     "SelectRequest",
     "EngineSpec",
     "build_index",

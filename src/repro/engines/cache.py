@@ -19,11 +19,15 @@ entry sizes come from the ``nbytes`` hook on
 inserted entry is never evicted, so a single adjacency larger than the
 byte budget still serves its own request.
 
-All mutating operations (and the counter reads of :meth:`info`) take an
+All mutating operations (and the reads of :meth:`info`) take an
 internal re-entrant lock, so a cache may be shared by concurrent
 sessions: the serving layer (:mod:`repro.service`) runs selections on a
-thread pool and its ``/stats`` endpoint snapshots counters while
-requests are in flight.
+thread pool and its ``/stats`` endpoint reads the cache while requests
+are in flight.
+
+Hits, misses and evictions are counted only in the cache's own
+:class:`~repro.obs.metrics.MetricsRegistry` (``self.metrics``);
+:meth:`info` reads them back from a snapshot.
 
 Locking convention (enforced by ``repro lint``, rule
 ``guarded-attribute``): every class sharing mutable state across
@@ -32,7 +36,10 @@ name to the lock expression that must be held to mutate it (or the
 sentinel ``"event-loop"`` for asyncio-owned state).  Helpers that run
 with the lock already held say so in their docstring ("Caller holds
 ``self._lock``."); the linter accepts that contract and flags any new
-call site that mutates outside a ``with``.
+call site that mutates outside a ``with``.  Event counts never appear
+in a ``_GUARDED_BY`` map: they live in registry instruments, whose
+lock is a leaf (nothing is acquired while it is held), so counting
+under any component lock cannot create a lock-order cycle.
 """
 
 from __future__ import annotations
@@ -44,6 +51,10 @@ from typing import Optional
 from repro.obs import metrics as obs_metrics
 
 __all__ = ["AdjacencyCache"]
+
+#: Registry families behind the :meth:`AdjacencyCache.info` counters.
+LOOKUPS = "repro_session_cache_lookups_total"
+EVICTIONS = "repro_session_cache_evictions_total"
 
 
 def _entry_bytes(value) -> int:
@@ -63,12 +74,7 @@ class AdjacencyCache:
     """
 
     #: Lock discipline, mechanically enforced by `repro lint`.
-    _GUARDED_BY = {
-        "_entries": "self._lock",
-        "hits": "self._lock",
-        "misses": "self._lock",
-        "evictions": "self._lock",
-    }
+    _GUARDED_BY = {"_entries": "self._lock"}
 
     def __init__(
         self,
@@ -83,28 +89,22 @@ class AdjacencyCache:
         self.max_bytes = max_bytes
         self._entries: "OrderedDict[float, object]" = OrderedDict()
         self._lock = threading.RLock()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self._m_lookups = obs_metrics.registry().counter(
-            "repro_session_cache_lookups_total",
-            "Per-session adjacency cache lookups by outcome.",
-            ("outcome",),
+        self.metrics = obs_metrics.MetricsRegistry()
+        self._m_lookups = self.metrics.counter(
+            LOOKUPS, "Per-session adjacency cache lookups by outcome.", ("outcome",)
+        )
+        self._m_evictions = self.metrics.counter(
+            EVICTIONS, "Per-session adjacency cache LRU evictions."
         )
 
     # ------------------------------------------------------------------
     def get(self, key: float):
         """The cached adjacency for ``key``, or None (counts hit/miss)."""
         with self._lock:
-            try:
-                value = self._entries[key]
-            except KeyError:
-                self.misses += 1
-                value = None
-            else:
+            value = self._entries.get(key)
+            if value is not None:
                 self._entries.move_to_end(key)
-                self.hits += 1
-        self._m_lookups.inc(outcome="miss" if value is None else "hit")
+            self._m_lookups.inc(outcome="miss" if value is None else "hit")
         return value
 
     def peek(self, key: float):
@@ -152,7 +152,7 @@ class AdjacencyCache:
                 or (self.max_bytes is not None and self.total_bytes > self.max_bytes)
             ):
                 self._entries.popitem(last=False)
-                self.evictions += 1
+                self._m_evictions.inc()
 
     def adopt(self, other: "AdjacencyCache") -> None:
         """Take over another cache's entries (oldest first), then apply
@@ -170,15 +170,22 @@ class AdjacencyCache:
         with self._lock:
             return sum(_entry_bytes(v) for v in self._entries.values())
 
+    def _counts(self) -> dict:
+        """``hits``/``misses``/``evictions`` from one registry snapshot."""
+        snap = self.metrics.snapshot()
+        return {
+            "hits": obs_metrics.count(snap, LOOKUPS, outcome="hit"),
+            "misses": obs_metrics.count(snap, LOOKUPS, outcome="miss"),
+            "evictions": obs_metrics.count(snap, EVICTIONS),
+        }
+
     def info(self) -> dict:
         """Counters + footprint snapshot (plain JSON-serialisable dict)."""
         with self._lock:
             return {
                 "entries": len(self._entries),
                 "radii": [float(k) for k in self._entries],
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
+                **self._counts(),
                 "bytes": self.total_bytes,
                 "max_entries": self.max_entries,
                 "max_bytes": self.max_bytes,
@@ -202,8 +209,3 @@ class AdjacencyCache:
         with self._lock:
             return key in self._entries
 
-    def __repr__(self) -> str:  # pragma: no cover - trivial
-        return (
-            f"AdjacencyCache(entries={len(self._entries)}, hits={self.hits}, "
-            f"misses={self.misses}, evictions={self.evictions})"
-        )

@@ -88,8 +88,8 @@ an engine capability registry:
   radius when one is known, the KD-tree otherwise, brute force for
   non-coordinate metrics.  Options constrain the policy
   (`engine="auto", capacity=10` still lands on the M-tree).
-* **`DiscSession`** (né `DiscDiversifier`, which remains as a
-  deprecated shim) is the interactive-mode façade: index once, then
+* **`DiscSession`** (né `DiscDiversifier`) is the interactive-mode
+  façade: index once, then
   `select` / `select_many` / zoom / `compare_methods`.  Sessions
   install a radius-keyed LRU adjacency cache (`cache_radii` budget) so
   repeated radii — the zoom back-and-forth pattern of the paper's
@@ -102,10 +102,11 @@ bench --session`, recorded in `results/BENCH_session.json`): 1.9x vs
 one-shot `disc_select` at n=20000 (3 adjacency builds instead of 8).
 
 Migration: `DiscDiversifier` → `DiscSession` (same constructor and
-methods; the old name warns).  `build_index` / `disc_select` keep their
-signatures unchanged.  The API surface is pinned by
-`tests/test_api_surface.py`; CI runs the shim-deprecation lane with
-warnings-as-errors.
+methods).  The old name has been removed, so importing it raises
+`ImportError`.  `build_index` / `disc_select` keep
+their signatures unchanged.  The API surface is pinned by
+`tests/test_api_surface.py`; CI runs it with warnings-as-errors so the
+supported surface stays warning-clean.
 
 ## Serving — the async multi-user layer (PR 5)
 
@@ -385,11 +386,14 @@ the reverse) makes each request tell its own story.
   fixed-bucket histograms behind one lock (snapshots are consistent
   cuts); names enforced to `repro_[a-z0-9_]+` at registration *and*
   by lint.  `GET /metrics` serves the Prometheus text format
-  (`text/plain; version=0.0.4`); `/stats` folds in the same snapshot
-  plus executor `queue_depth`; the supervised front merges worker
-  snapshots (counters/gauges sum, histograms sum bucket-wise) into
-  one cluster exposition and a rollup that now carries
-  migration/degraded/queue-depth totals.
+  (`text/plain; version=0.0.4`).  The registry is the only counter
+  store: each counting object (shared cache, serving state,
+  supervisor front, session cache) owns one, and `/stats`,
+  `cache_info()` and the front's rollup are views over their
+  snapshots, so `/stats` and `/metrics` cannot disagree.  The
+  supervised front merges worker snapshots (counters/gauges sum,
+  histograms sum bucket-wise) into one cluster exposition, and the
+  rollup's `totals` come from that same merge.
 * **Trace sink** — `--trace-log PATH` appends one JSONL record per
   completed request (`repro-trace-v1`: request feature vector +
   per-phase durations + status), size-capped with `PATH.1` rotation;

@@ -40,6 +40,7 @@ import numpy as np
 
 from repro.datasets import Dataset
 from repro.graph.incremental import IncrementalNeighborhood
+from repro.obs.metrics import MetricsRegistry
 
 __all__ = ["MutableDataset", "MutationError"]
 
@@ -62,11 +63,9 @@ class MutableDataset:
 
     #: Lock discipline (see :mod:`repro.engines.cache`): every mutable
     #: attribute moves under the dataset lock; snapshots hand out
-    #: frozen arrays only.
+    #: frozen arrays only.  Compactions are counted in ``self.metrics``.
     _GUARDED_BY = {
         "version": "self._lock",
-        "mutations": "self._lock",
-        "compactions": "self._lock",
         "_base": "self._lock",
         "_pending": "self._lock",
         "_alive": "self._lock",
@@ -97,8 +96,11 @@ class MutableDataset:
         self._handle = None
         self._log: List[dict] = []
         self.version = 0
-        self.mutations = 0
-        self.compactions = 0
+        self.metrics = MetricsRegistry()
+        self._m_compactions = self.metrics.counter(
+            "repro_live_compactions_total",
+            "Overlay insert chunks folded into the base array.",
+        )
 
     # ------------------------------------------------------------------
     # Identity / geometry
@@ -189,11 +191,10 @@ class MutableDataset:
                 if len(self._pending) >= self.compact_every:
                     self._base = self.points_all()
                     self._pending = []
-                    self.compactions += 1
+                    self._m_compactions.inc()
             if delete_ids.size:
                 self._alive[delete_ids] = False
             self.version += 1
-            self.mutations += 1
             self._handle = None
             self._snapshots.clear()
             delta = {
@@ -379,8 +380,9 @@ class MutableDataset:
                 "n_total": int(self._alive.shape[0]),
                 "dim": self.dim,
                 "metric": self.metric.name,
-                "mutations": self.mutations,
-                "compactions": self.compactions,
+                # Every applied batch bumps the version exactly once.
+                "mutations": self.version,
+                "compactions": int(self._m_compactions.value()),
                 "tracked_radii": self.tracked_buckets(),
                 "spec": {"family": "live"},
             }

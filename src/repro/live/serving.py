@@ -9,9 +9,16 @@ incremental adjacency instead of letting the engine run a full grid
 build.  The first request at a radius pays the incremental structure's
 initial build once; every post-mutation request pays only the
 alive-mask compaction of the maintained structure.
+
+A miss is resolved against the alive mask of the *version the view was
+built for*, never the dataset's current one: a request holding the
+``u@v0`` handle while a batch lands must not publish the v1 graph under
+the v0 key.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from repro.obs import trace as obs_trace
 from repro.service.cache import SharedCacheManager, SharedCacheView
@@ -27,17 +34,20 @@ class LiveCacheView(SharedCacheView):
     manager's full miss protocol (single-flight claim, breaker, shm
     attach) and, when this thread ends up owning the build slot,
     resolves it with
-    :meth:`~repro.live.dataset.MutableDataset.adjacency_snapshot`
+    :meth:`~repro.live.dataset.MutableDataset.adjacency_snapshot_for_mask`
+    over ``alive_mask`` (the alive mask of ``dataset_id``'s version)
     instead of returning None — so the engine's own builder never runs
     for a live dataset, and waiters/other workers receive the published
     snapshot exactly as they would a built one.
     """
 
     def __init__(
-        self, manager: SharedCacheManager, dataset_id: str, metric, live
+        self, manager: SharedCacheManager, dataset_id: str, metric, live,
+        alive_mask: np.ndarray,
     ) -> None:
         super().__init__(manager, dataset_id, metric)
         self.live = live
+        self.alive_mask = alive_mask
 
     def get(self, key: float):
         value = super().get(key)
@@ -46,7 +56,7 @@ class LiveCacheView(SharedCacheView):
         # This thread owns the build slot for the composite key.
         composite = self._key(key)
         try:
-            csr, _ = self.live.adjacency_snapshot(key)
+            csr = self.live.adjacency_snapshot_for_mask(key, self.alive_mask)
         except BaseException as exc:
             self.manager.fail(composite, exc)
             raise

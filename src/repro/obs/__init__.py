@@ -15,8 +15,8 @@ workload-adaptive policy item needs:
   repair / shm-attach) nest under it.
 * :mod:`repro.obs.metrics` — a thread-safe registry of counters,
   gauges and fixed-bucket histograms rendered as Prometheus text
-  (``GET /metrics``) and folded into ``/stats`` (the supervisor
-  aggregates per-worker snapshots).  Metric names must match
+  (``GET /metrics``); ``/stats`` is a view over the same snapshots (the
+  supervisor aggregates per-worker snapshots).  Metric names must match
   ``repro_[a-z0-9_]+`` — enforced at registration *and* by the
   ``span-discipline`` lint rule.
 * :mod:`repro.obs.sink` — completed traces written as size-capped
@@ -34,8 +34,9 @@ trace is active and no sink is configured.
 from repro.obs.metrics import (
     DEFAULT_LATENCY_BUCKETS,
     MetricsRegistry,
+    count,
+    counts_by,
     merge_snapshots,
-    registry,
     render_snapshot,
 )
 from repro.obs.sink import (
@@ -74,6 +75,8 @@ __all__ = [
     "annotate_root",
     "attach",
     "build_record",
+    "count",
+    "counts_by",
     "current_span",
     "format_trace_header",
     "iter_trace_records",
@@ -83,7 +86,6 @@ __all__ = [
     "phase",
     "phase_totals",
     "record_phase",
-    "registry",
     "render_snapshot",
     "render_trace_summary",
     "request_scope",

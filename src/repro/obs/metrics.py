@@ -13,14 +13,16 @@ Export paths:
 * ``registry.render()`` — the Prometheus text format behind
   ``GET /metrics``;
 * ``registry.snapshot()`` — a JSON-able dict folded into ``/stats``;
-* :func:`merge_snapshots` + :func:`render_snapshot` — the supervisor
-  aggregates per-worker snapshots (counters/gauges sum, histograms
-  sum bucket-wise) and renders the cluster view at the front.
+* :func:`merge_snapshots` + :func:`render_snapshot` — a server merges
+  the registries it owns, and the supervisor merges per-worker
+  snapshots (counters/gauges sum, histograms sum bucket-wise) into the
+  cluster view at the front;
+* :func:`count` / :func:`counts_by` — read counts back out of a
+  snapshot; ``/stats`` and ``cache_info()`` are built this way.
 
-A process-wide default registry (:func:`registry`) keeps the
-instrumentation seams plumbing-free; components accept an explicit
-registry for isolated tests.  Stdlib-only, and must never import
-:mod:`repro.service`.
+Every counting object owns its :class:`MetricsRegistry`, so two
+servers in one process never mix their counts.  Stdlib-only, and must
+never import :mod:`repro.service`.
 """
 
 from __future__ import annotations
@@ -37,8 +39,9 @@ __all__ = [
     "Histogram",
     "METRIC_NAME_RE",
     "MetricsRegistry",
+    "count",
+    "counts_by",
     "merge_snapshots",
-    "registry",
     "render_snapshot",
 ]
 
@@ -258,8 +261,8 @@ class MetricsRegistry:
         return render_snapshot(self.snapshot())
 
     def reset(self) -> None:
-        """Drop every instrument (test isolation for the default
-        registry; production code never calls this)."""
+        """Drop every instrument (test isolation; production code never
+        calls this)."""
         with self._lock:
             self._metrics.clear()
 
@@ -387,9 +390,31 @@ def merge_snapshots(snapshots: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
     return out
 
 
-_DEFAULT = MetricsRegistry()
+
+def _matching(snapshot: Dict[str, Any], name: str, labels: Dict[str, Any]):
+    entry = snapshot.get(name)
+    if entry is None:
+        return
+    wanted = {key: str(value) for key, value in labels.items()}
+    for sample in entry["samples"]:
+        have = sample.get("labels", {})
+        if all(have.get(key) == value for key, value in wanted.items()):
+            yield sample
 
 
-def registry() -> MetricsRegistry:
-    """The process-wide default registry."""
-    return _DEFAULT
+def count(snapshot: Dict[str, Any], name: str, **labels: Any) -> int:
+    """The event count of counter/gauge ``name`` in a snapshot.
+
+    Sums every sample whose labels include ``labels`` (so no labels
+    means the family total); 0 when the family is absent.
+    """
+    return int(sum(sample["value"] for sample in _matching(snapshot, name, labels)))
+
+
+def counts_by(snapshot: Dict[str, Any], name: str, label: str) -> Dict[str, int]:
+    """``{label value: count}`` for counter/gauge ``name`` in a snapshot."""
+    out: Dict[str, int] = {}
+    for sample in _matching(snapshot, name, {}):
+        key = sample["labels"][label]
+        out[key] = out.get(key, 0) + int(sample["value"])
+    return out

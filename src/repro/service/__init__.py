@@ -33,6 +33,17 @@ This package is that serving layer:
   behind ``repro serve --workers N``: failover routing with
   idempotent request replay, heartbeat supervision with exponential
   backoff and crash-loop quarantine, per-worker ``/stats`` rollup.
+
+Counters and locks: every event the stack counts (requests, responses,
+computations, cache lookups and builds, replays, restarts, ...) is an
+instrument in a :class:`~repro.obs.metrics.MetricsRegistry` owned by
+the object that counts it — the shared cache, the serving state (its
+server counts HTTP traffic there too) and the supervisor front.
+``/stats``, ``cache_info()`` and the front's rollup are views over
+those registries' snapshots, and ``GET /metrics`` renders the same
+snapshots, so the two endpoints cannot disagree.  The registry lock is
+a leaf: it nests under the cache, state and live-dataset locks and
+never takes another lock, which the ``REPRO_LOCK_AUDIT=1`` lane checks.
 """
 
 from repro.service.cache import SharedCacheManager, SharedCacheView, radius_bucket

@@ -59,6 +59,10 @@ from the ``nbytes`` hook, same as the session cache); the most recently
 inserted entry is never evicted.  ``ttl_s`` ages entries into the stale
 tier; expiry is checked on access (counted in ``expirations``).  The
 stale tier is LRU-bounded by the same entry budget.
+
+Every event the manager counts is an instrument in its own
+:class:`~repro.obs.metrics.MetricsRegistry` (``self.metrics``);
+:meth:`SharedCacheManager.cache_info` reads one snapshot of it.
 """
 
 from __future__ import annotations
@@ -72,6 +76,7 @@ from typing import Dict, Optional, Tuple
 from repro.cancellation import OperationCancelled, current_token
 from repro.engines.cache import AdjacencyCache
 from repro.obs import metrics as obs_metrics
+from repro.obs.metrics import count
 from repro.obs import trace as obs_trace
 from repro.service.resilience import BuildFailed, CircuitBreaker, CircuitOpen
 
@@ -88,6 +93,21 @@ CacheKey = Tuple[str, str, float]
 #: A rebuild is "too tight" when the remaining deadline is under this
 #: multiple of the key's last observed build time.
 REBUILD_SAFETY = 1.5
+
+#: Registry families behind the :meth:`SharedCacheManager.cache_info`
+#: counters (hits = hit + stale lookups, stale_served = stale lookups).
+LOOKUPS = "repro_cache_lookups_total"
+BUILDS = "repro_adjacency_builds_total"
+SHM_ATTACHES = "repro_shm_attaches_total"
+SHM_STORES = "repro_shm_stores_total"
+MIGRATIONS = "repro_cache_migrations_total"
+EVICTIONS = "repro_cache_evictions_total"
+EXPIRATIONS = "repro_cache_expirations_total"
+COALESCED_BUILDS = "repro_cache_coalesced_builds_total"
+BUILD_FAILURES = "repro_cache_build_failures_total"
+CORRUPT_ENTRIES = "repro_cache_corrupt_entries_total"
+#: Help text of the phase histogram the cache shares with the state.
+PHASE_HELP = "Measured duration of one traced request phase."
 
 
 def radius_bucket(radius: float) -> float:
@@ -198,18 +218,6 @@ class SharedCacheManager:
         "_breakers": "self._lock",
         "_build_seconds": "self._lock",
         "_backing_claims": "self._lock",
-        "hits": "self._lock",
-        "misses": "self._lock",
-        "evictions": "self._lock",
-        "expirations": "self._lock",
-        "builds": "self._lock",
-        "coalesced_builds": "self._lock",
-        "build_failures": "self._lock",
-        "stale_served": "self._lock",
-        "corrupt_entries": "self._lock",
-        "shm_hits": "self._lock",
-        "shm_stores": "self._lock",
-        "migrations": "self._lock",
     }
 
     def __init__(
@@ -245,45 +253,45 @@ class SharedCacheManager:
         self._breakers: Dict[CacheKey, CircuitBreaker] = {}
         self._build_seconds: Dict[CacheKey, float] = {}
         self._backing_claims: Dict[CacheKey, object] = {}
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.expirations = 0
-        self.builds = 0
-        self.coalesced_builds = 0
-        self.build_failures = 0
-        self.stale_served = 0
-        self.corrupt_entries = 0
-        self.shm_hits = 0
-        self.shm_stores = 0
-        self.migrations = 0
-        # Prometheus-side mirrors of the counters above.  The metrics
-        # lock is a leaf (nothing is acquired while it is held), so
-        # bumping these under self._lock cannot create a lock-order
-        # cycle; registration is get-or-create, so every manager in the
-        # process shares one family.
-        metrics = obs_metrics.registry()
-        self._m_lookups = metrics.counter(
-            "repro_cache_lookups_total",
-            "Shared adjacency cache lookups by outcome.",
-            ("outcome",),
+        self.metrics = obs_metrics.MetricsRegistry()
+        counter = self.metrics.counter
+        self._m_lookups = counter(
+            LOOKUPS, "Shared adjacency cache lookups by outcome.", ("outcome",)
         )
-        self._m_builds = metrics.counter(
-            "repro_adjacency_builds_total",
-            "Adjacency builds completed by cache-owning threads.",
+        self._m_builds = counter(
+            BUILDS, "Adjacency builds completed by cache-owning threads."
         )
-        self._m_shm_attaches = metrics.counter(
-            "repro_shm_attaches_total",
-            "Adjacencies attached from the cross-process shm tier.",
+        self._m_shm_attaches = counter(
+            SHM_ATTACHES, "Adjacencies attached from the cross-process shm tier."
         )
-        self._m_migrations = metrics.counter(
-            "repro_cache_migrations_total",
-            "Cache buckets carried across live-dataset versions.",
+        self._m_shm_stores = counter(
+            SHM_STORES, "Adjacencies this process published to the shm tier."
         )
-        self._m_phase = metrics.histogram(
-            "repro_phase_duration_seconds",
-            "Measured duration of one traced request phase.",
-            ("phase",),
+        self._m_migrations = counter(
+            MIGRATIONS, "Cache buckets carried across live-dataset versions."
+        )
+        self._m_evictions = counter(
+            EVICTIONS, "Entries evicted from the fresh or stale tier by budget."
+        )
+        self._m_expirations = counter(
+            EXPIRATIONS, "Fresh entries demoted to the stale tier by TTL."
+        )
+        self._m_coalesced = counter(
+            COALESCED_BUILDS, "Misses answered by a concurrent thread's build."
+        )
+        self._m_build_failures = counter(
+            BUILD_FAILURES, "Claimed adjacency builds that raised."
+        )
+        self._m_corrupt = counter(
+            CORRUPT_ENTRIES, "Entries dropped by the type-stamp integrity check."
+        )
+        self._m_transitions = counter(
+            "repro_breaker_transitions_total",
+            "Circuit-breaker state transitions, by destination state.",
+            ("to",),
+        )
+        self._m_phase = self.metrics.histogram(
+            "repro_phase_duration_seconds", PHASE_HELP, ("phase",)
         )
 
     # ------------------------------------------------------------------
@@ -307,11 +315,11 @@ class SharedCacheManager:
             return None
         if not entry.intact():
             del self._entries[key]
-            self.corrupt_entries += 1
+            self._m_corrupt.inc()
             return None
         if entry.expired(time.monotonic()):
             del self._entries[key]
-            self.expirations += 1
+            self._m_expirations.inc()
             self._stale[key] = entry
             self._stale.move_to_end(key)
             self._evict_stale()
@@ -327,15 +335,13 @@ class SharedCacheManager:
             return None
         if not entry.intact():
             del self._stale[key]
-            self.corrupt_entries += 1
+            self._m_corrupt.inc()
             return None
         self._stale.move_to_end(key)
         return entry.value
 
     def _serve_stale(self, key: CacheKey, value, reason: str):
         """Account a degraded stale hit.  Caller holds ``self._lock``."""
-        self.stale_served += 1
-        self.hits += 1
         self._m_lookups.inc(outcome="stale")
         token = current_token()
         if token is not None:
@@ -351,11 +357,21 @@ class SharedCacheManager:
             self._breakers[key] = breaker
         return breaker
 
+    def _breaker_step(self, breaker: CircuitBreaker, step):
+        """Run one breaker ``step`` (``allow``/``record_*``) and count
+        the state transition it made, if any.  Caller holds
+        ``self._lock``."""
+        before = breaker.state
+        result = step()
+        after = breaker.state
+        if after != before:
+            self._m_transitions.inc(to=after)
+        return result
+
     def _claim(self, key: CacheKey) -> None:
         """Claim the build slot for this thread.  Caller holds
         ``self._lock``."""
         self._pending[key] = _PendingBuild(threading.get_ident())
-        self.misses += 1
         self._m_lookups.inc(outcome="miss")
 
     def _rebuild_too_tight(self, key: CacheKey) -> bool:
@@ -417,21 +433,21 @@ class SharedCacheManager:
             with self._lock:
                 value = self._fresh_value(key)
                 if value is not None:
-                    self.hits += 1
                     self._m_lookups.inc(outcome="hit")
                     return value
                 pending = self._pending.get(key)
                 if pending is not None and pending.owner == threading.get_ident():
                     # Re-entrant miss (builder probing again): keep
                     # ownership, let it proceed with its build.
-                    self.misses += 1
                     self._m_lookups.inc(outcome="miss")
                     return None
                 if pending is None:
                     # No build in flight: we would become the builder —
                     # unless the breaker or the deadline says otherwise.
                     breaker = self._breakers.get(key)
-                    if breaker is not None and not breaker.allow():
+                    if breaker is not None and not self._breaker_step(
+                        breaker, breaker.allow
+                    ):
                         stale = self._stale_value(key)
                         if stale is not None:
                             return self._serve_stale(key, stale, "circuit-open")
@@ -475,7 +491,9 @@ class SharedCacheManager:
                 # instead of failing the request.
                 with self._lock:
                     breaker = self._breakers.get(key)
-                    if breaker is not None and not breaker.allow():
+                    if breaker is not None and not self._breaker_step(
+                        breaker, breaker.allow
+                    ):
                         stale = self._stale_value(key)
                         if stale is not None:
                             return self._serve_stale(key, stale, "circuit-open")
@@ -483,8 +501,7 @@ class SharedCacheManager:
             with self._lock:
                 value = self._fresh_value(key)
                 if value is not None:
-                    self.hits += 1
-                    self.coalesced_builds += 1
+                    self._m_coalesced.inc()
                     self._m_lookups.inc(outcome="hit")
                     return value
                 if key not in self._pending:
@@ -497,11 +514,7 @@ class SharedCacheManager:
         no waiting happens, so callers must not follow with ``put``."""
         with self._lock:
             value = self._fresh_value(key)
-            if value is not None:
-                self.hits += 1
-            else:
-                self.misses += 1
-        self._m_lookups.inc(outcome="hit" if value is not None else "miss")
+            self._m_lookups.inc(outcome="hit" if value is not None else "miss")
         if value is None:
             return None
         return self._materialise(key, value)
@@ -525,8 +538,6 @@ class SharedCacheManager:
             return None
         if status == "value":
             self._install(key, got, count_build=False)
-            with self._lock:
-                self.shm_hits += 1
             self._m_shm_attaches.inc()
             return got
         if status == "claim":
@@ -549,7 +560,7 @@ class SharedCacheManager:
             self._entries.move_to_end(key)
             self._stale.pop(key, None)  # fresh build supersedes stale
             if count_build:
-                self.builds += 1
+                self._m_builds.inc()
             pending = self._pending.pop(key, None)
             if pending is not None:
                 self._build_seconds[key] = max(
@@ -557,12 +568,11 @@ class SharedCacheManager:
                 )
             breaker = self._breakers.get(key)
             if breaker is not None:
-                breaker.record_success()
+                self._breaker_step(breaker, breaker.record_success)
             self._evict()
         if pending is not None:
             pending.event.set()
         if count_build:
-            self._m_builds.inc()
             if pending is not None:
                 # The build ran inside the engine, below any span seam;
                 # reconstruct it retroactively from the claim timestamp
@@ -581,8 +591,7 @@ class SharedCacheManager:
         if claim is not None and self.backing is not None:
             try:
                 if self.backing.publish(claim, value):
-                    with self._lock:
-                        self.shm_stores += 1
+                    self._m_shm_stores.inc()
             except OperationCancelled:
                 # The deadline expired mid-publish: release the
                 # cluster-wide claim so a healthy worker takes over the
@@ -636,8 +645,9 @@ class SharedCacheManager:
         self._release_backing(key)
         with self._lock:
             pending = self._pending.pop(key, None)
-            self.build_failures += 1
-            self._breaker(key).record_failure()
+            self._m_build_failures.inc()
+            breaker = self._breaker(key)
+            self._breaker_step(breaker, breaker.record_failure)
         if pending is not None:
             pending.error = exc  # must precede the wake-up
             pending.event.set()
@@ -690,9 +700,8 @@ class SharedCacheManager:
                 self._entries[new_key] = _Entry(value, expires)
                 self._entries.move_to_end(new_key)
                 self._stale.pop(new_key, None)
-                self.migrations += 1
+                self._m_migrations.inc()
                 self._evict()
-            self._m_migrations.inc()
             migrated += 1
         with self._lock:
             for key in old_keys:
@@ -720,7 +729,7 @@ class SharedCacheManager:
                 or (self.max_bytes is not None and self.total_bytes > self.max_bytes)
             ):
                 self._entries.popitem(last=False)
-                self.evictions += 1
+                self._m_evictions.inc()
 
     def _evict_stale(self) -> None:
         """Trim the stale tier to budget.  Caller holds ``self._lock``."""
@@ -728,7 +737,7 @@ class SharedCacheManager:
             return
         while len(self._stale) > self.max_entries:
             self._stale.popitem(last=False)
-            self.evictions += 1
+            self._m_evictions.inc()
 
     # ------------------------------------------------------------------
     @property
@@ -743,9 +752,15 @@ class SharedCacheManager:
         return "closed" if breaker is None else breaker.state
 
     def cache_info(self) -> dict:
-        """Counters + per-key footprint (plain JSON-serialisable dict)."""
+        """Counters + per-key footprint (plain JSON-serialisable dict).
+
+        The counters are read from one snapshot of :attr:`metrics`,
+        taken under the cache lock, so they are a consistent cut with
+        the entries listed beside them.
+        """
         with self._lock:
             now = time.monotonic()
+            snap = self.metrics.snapshot()
             return {
                 "entries": len(self._entries),
                 "keys": [
@@ -762,19 +777,20 @@ class SharedCacheManager:
                     }
                     for (dataset, metric, bucket), entry in self._entries.items()
                 ],
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
-                "expirations": self.expirations,
-                "builds": self.builds,
-                "coalesced_builds": self.coalesced_builds,
-                "build_failures": self.build_failures,
+                "hits": count(snap, LOOKUPS, outcome="hit")
+                + count(snap, LOOKUPS, outcome="stale"),
+                "misses": count(snap, LOOKUPS, outcome="miss"),
+                "evictions": count(snap, EVICTIONS),
+                "expirations": count(snap, EXPIRATIONS),
+                "builds": count(snap, BUILDS),
+                "coalesced_builds": count(snap, COALESCED_BUILDS),
+                "build_failures": count(snap, BUILD_FAILURES),
                 "stale_entries": len(self._stale),
-                "stale_served": self.stale_served,
-                "corrupt_entries": self.corrupt_entries,
-                "shm_hits": self.shm_hits,
-                "shm_stores": self.shm_stores,
-                "migrations": self.migrations,
+                "stale_served": count(snap, LOOKUPS, outcome="stale"),
+                "corrupt_entries": count(snap, CORRUPT_ENTRIES),
+                "shm_hits": count(snap, SHM_ATTACHES),
+                "shm_stores": count(snap, SHM_STORES),
+                "migrations": count(snap, MIGRATIONS),
                 "backing": (
                     None if self.backing is None else self.backing.info()
                 ),
@@ -812,13 +828,6 @@ class SharedCacheManager:
         with self._lock:
             return len(self._entries)
 
-    def __repr__(self) -> str:  # pragma: no cover - trivial
-        return (
-            f"SharedCacheManager(entries={len(self)}, hits={self.hits}, "
-            f"misses={self.misses}, builds={self.builds}, "
-            f"coalesced={self.coalesced_builds})"
-        )
-
 
 class SharedCacheView(AdjacencyCache):
     """A per-(dataset, metric) window onto a :class:`SharedCacheManager`.
@@ -828,16 +837,11 @@ class SharedCacheView(AdjacencyCache):
     radius), so a :class:`~repro.index.base.NeighborIndex` — and
     therefore a :class:`~repro.api.DiscSession` — attaches to the shared
     store with ``set_adjacency_cache(manager.view(dataset_id, metric))``
-    and no other change.  The view keeps its own hit/miss counters (what
-    *this* session saw) next to the manager-wide ones.
+    and no other change.  The view counts its own lookups (what *this*
+    session saw) in the registry it inherits from
+    :class:`~repro.engines.cache.AdjacencyCache`, next to the
+    manager-wide counts; the manager guards every shared tier.
     """
-
-    #: Lock discipline (see :mod:`repro.engines.cache`): the manager
-    #: guards the shared tiers; the view only owns its two counters.
-    _GUARDED_BY = {
-        "hits": "self._lock",
-        "misses": "self._lock",
-    }
 
     def __init__(self, manager: SharedCacheManager, dataset_id: str, metric) -> None:
         super().__init__()
@@ -852,20 +856,12 @@ class SharedCacheView(AdjacencyCache):
     def get(self, key: float):
         with obs_trace.phase("cache-lookup", radius=float(key)):
             value = self.manager.get(self._key(key))
-        with self._lock:
-            if value is None:
-                self.misses += 1
-            else:
-                self.hits += 1
+        self._m_lookups.inc(outcome="miss" if value is None else "hit")
         return value
 
     def peek(self, key: float):
         value = self.manager.peek(self._key(key))
-        with self._lock:
-            if value is None:
-                self.misses += 1
-            else:
-                self.hits += 1
+        self._m_lookups.inc(outcome="miss" if value is None else "hit")
         return value
 
     def put(self, key: float, value) -> None:
@@ -897,36 +893,34 @@ class SharedCacheView(AdjacencyCache):
             for k in shared["keys"]
             if k["dataset"] == self.dataset_id and k["metric"] == self.metric_name
         ]
-        with self._lock:
-            return {
-                "dataset": self.dataset_id,
-                "metric": self.metric_name,
-                "entries": len(mine),
-                "radii": [k["radius"] for k in mine],
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": shared["evictions"],
-                "bytes": sum(k["bytes"] for k in mine),
-                "max_entries": self.manager.max_entries,
-                "max_bytes": self.manager.max_bytes,
-                "shared": {
-                    key: shared[key]
-                    for key in (
-                        "entries",
-                        "hits",
-                        "misses",
-                        "builds",
-                        "coalesced_builds",
-                        "build_failures",
-                        "stale_entries",
-                        "stale_served",
-                        "corrupt_entries",
-                        "evictions",
-                        "expirations",
-                        "bytes",
-                    )
-                },
-            }
+        return {
+            "dataset": self.dataset_id,
+            "metric": self.metric_name,
+            "entries": len(mine),
+            "radii": [k["radius"] for k in mine],
+            **self._counts(),
+            "evictions": shared["evictions"],
+            "bytes": sum(k["bytes"] for k in mine),
+            "max_entries": self.manager.max_entries,
+            "max_bytes": self.manager.max_bytes,
+            "shared": {
+                key: shared[key]
+                for key in (
+                    "entries",
+                    "hits",
+                    "misses",
+                    "builds",
+                    "coalesced_builds",
+                    "build_failures",
+                    "stale_entries",
+                    "stale_served",
+                    "corrupt_entries",
+                    "evictions",
+                    "expirations",
+                    "bytes",
+                )
+            },
+        }
 
     cache_info = info
 
@@ -953,10 +947,3 @@ class SharedCacheView(AdjacencyCache):
 
     def __len__(self) -> int:
         return len(self.info()["radii"])
-
-    def __repr__(self) -> str:  # pragma: no cover - trivial
-        return (
-            f"SharedCacheView(dataset={self.dataset_id!r}, "
-            f"metric={self.metric_name!r}, hits={self.hits}, "
-            f"misses={self.misses})"
-        )

@@ -36,7 +36,6 @@ from repro.cancellation import (  # noqa: F401  (re-exported surface)
     cancellation_scope,
     current_token,
 )
-from repro.obs import metrics as obs_metrics
 
 __all__ = [
     "BuildFailed",
@@ -169,7 +168,9 @@ class CircuitBreaker:
     A successful probe closes the circuit, a failed one re-opens it
     immediately.  :meth:`allow` is the admission question; it returns
     True exactly once per half-open window so concurrent threads cannot
-    stampede the recovering dependency.
+    stampede the recovering dependency.  The owning
+    :class:`~repro.service.cache.SharedCacheManager` counts the
+    transitions in its registry (it makes every call).
     """
 
     def __init__(
@@ -187,11 +188,6 @@ class CircuitBreaker:
         self._state = "closed"
         self._failures = 0
         self._opened_at = 0.0
-        self._m_transitions = obs_metrics.registry().counter(
-            "repro_breaker_transitions_total",
-            "Circuit-breaker state transitions, by destination state.",
-            ("to",),
-        )
 
     @property
     def state(self) -> str:
@@ -210,7 +206,6 @@ class CircuitBreaker:
             if self._state == "open":
                 if time.monotonic() - self._opened_at >= self.reset_after_s:
                     self._state = "half_open"
-                    self._m_transitions.inc(to="half_open")
                     return True
                 return False
             return False  # half_open: a probe is already in flight
@@ -227,15 +222,11 @@ class CircuitBreaker:
         with self._lock:
             self._failures += 1
             if self._state == "half_open" or self._failures >= self.failure_threshold:
-                if self._state != "open":
-                    self._m_transitions.inc(to="open")
                 self._state = "open"
                 self._opened_at = time.monotonic()
 
     def record_success(self) -> None:
         with self._lock:
-            if self._state != "closed":
-                self._m_transitions.inc(to="closed")
             self._state = "closed"
             self._failures = 0
 

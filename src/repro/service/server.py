@@ -32,7 +32,10 @@ Endpoints
     Liveness: ``{"status": "ok", ...}``.
 ``GET /stats``
     Counters, shared-cache info, single-flight accounting, breaker and
-    fault-injection state.
+    fault-injection state — a view over the same registry snapshot
+    ``GET /metrics`` renders.
+``GET /metrics``
+    Prometheus text of the state's (and shared cache's) registries.
 
 Compute bodies additionally accept two transport-level fields stripped
 before validation: ``timeout_ms`` (per-request deadline budget, capped
@@ -77,6 +80,7 @@ from typing import Dict, Optional, Tuple
 
 from repro import __version__
 from repro.obs import trace as obs_trace
+from repro.obs.metrics import render_snapshot
 from repro.obs.sink import TraceSink, build_record
 from repro.service.faults import InjectedFault
 from repro.service.resilience import (
@@ -86,7 +90,13 @@ from repro.service.resilience import (
     error_body,
     extract_request_meta,
 )
-from repro.service.state import ServiceState, canonical_key
+from repro.service.state import (
+    COALESCED,
+    REQUESTS,
+    RESPONSES,
+    ServiceState,
+    canonical_key,
+)
 
 __all__ = [
     "DiscServer",
@@ -265,16 +275,16 @@ class DiscServer:
         if trace_sink is None and trace_log:
             trace_sink = TraceSink(trace_log)
         self.trace_sink = trace_sink
+        # Counted in the state's registry, which ``/stats`` reads.
         metrics = state.metrics
         self._m_requests = metrics.counter(
-            "repro_http_requests_total",
-            "HTTP requests seen, by endpoint",
-            labelnames=("endpoint",),
+            REQUESTS, "HTTP requests seen, by endpoint", labelnames=("endpoint",)
         )
         self._m_responses = metrics.counter(
-            "repro_http_responses_total",
-            "HTTP responses written, by status",
-            labelnames=("status",),
+            RESPONSES, "HTTP responses written, by status", labelnames=("status",)
+        )
+        self._m_coalesced = metrics.counter(
+            COALESCED, "Requests answered by another request's computation"
         )
         self._m_duration = metrics.histogram(
             "repro_request_duration_seconds",
@@ -343,7 +353,6 @@ class DiscServer:
                 method, path, keep_alive, body, headers = parsed
                 self._active_requests += 1
                 try:
-                    self._m_requests.inc(endpoint=f"{method} {path[:32]}")
                     with obs_trace.request_scope(
                         "request",
                         header=headers.get("x-repro-trace"),
@@ -356,7 +365,6 @@ class DiscServer:
                         # not counted as a response either).
                         writer.transport.abort()
                         return
-                    self.state.count_response(status)
                     self._m_responses.inc(status=status)
                     self._m_duration.observe(
                         root.elapsed_ms() / 1000.0, path=self._metric_path(path)
@@ -454,8 +462,9 @@ class DiscServer:
             return 400, error_body("bad_request", "invalid Content-Length header")
         if isinstance(body, dict) and body.get("\x00invalid-json"):
             return 400, error_body("bad_request", "request body is not valid JSON")
-        endpoint = f"{method} {path}"
-        self.state.count_request(endpoint)
+        # Framing errors above carry sentinel paths, not endpoints; the
+        # label is truncated to bound the family's cardinality.
+        self._m_requests.inc(endpoint=f"{method} {path[:32]}")
         try:
             if method == "GET":
                 if path == "/healthz":
@@ -463,7 +472,9 @@ class DiscServer:
                 if path == "/stats":
                     return 200, self.state.stats()
                 if path == "/metrics":
-                    return 200, {"\x00text": self.state.metrics.render()}
+                    return 200, {
+                        "\x00text": render_snapshot(self.state.metrics_snapshot())
+                    }
                 if path == "/datasets":
                     return 200, {"datasets": self.state.registry.describe()}
                 if path in ("/select", "/zoom", "/mutate"):
@@ -646,16 +657,16 @@ class DiscServer:
             done = self._completed.get(idem)
             if done is not None:
                 self._completed.move_to_end(idem)
-                state.count_coalesced()
+                self._m_coalesced.inc()
                 return done, True
             existing = self._idem_inflight.get(idem)
             if existing is not None:
-                state.count_coalesced()
+                self._m_coalesced.inc()
                 return await self._await_follower(existing, token), True
         if state.coalesce:
             existing = self._inflight.get(key)
             if existing is not None:
-                state.count_coalesced()
+                self._m_coalesced.inc()
                 return await self._await_follower(existing, token), True
         if (
             state.max_inflight is not None

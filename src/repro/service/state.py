@@ -14,7 +14,13 @@ stays responsive.  It owns:
 * one :class:`~repro.index.base.NeighborIndex` per (dataset, engine
   spec), built on first use behind a per-key lock — the serving
   analogue of :class:`~repro.api.DiscSession`'s index-once contract,
-* request/computation counters for ``/stats``.
+* a :class:`~repro.obs.metrics.MetricsRegistry` (``self.metrics``),
+  the one place the state and its server count events.
+
+:meth:`ServiceState.metrics_snapshot` merges the state's registry with
+the shared cache's; ``GET /metrics`` renders it and
+:meth:`ServiceState.stats` reads every ``/stats`` counter back out of
+it, so the two endpoints cannot disagree.
 
 Selections run the same heuristics as :func:`repro.api.disc_select`
 over the same validated :class:`~repro.requests.SelectRequest`, so a
@@ -37,13 +43,24 @@ from repro.core import zoom_in, zoom_out
 from repro.core.result import DiscResult
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
+from repro.obs.metrics import count, counts_by
 from repro.requests import METHODS, EngineSpec, SelectRequest
-from repro.service.cache import LazyMigration, SharedCacheManager
+from repro.service.cache import PHASE_HELP, LazyMigration, SharedCacheManager
 from repro.service.registry import DatasetHandle, DatasetRegistry
 from repro.service.resilience import resolve_deadline
 from repro.validation import validate_radius
 
 __all__ = ["ServiceState", "canonical_key"]
+
+#: Registry families ``/stats`` reads (the README maps every counter).
+REQUESTS = "repro_http_requests_total"
+RESPONSES = "repro_http_responses_total"
+COMPUTATIONS = "repro_computations_total"
+COALESCED = "repro_coalesced_requests_total"
+DEGRADED = "repro_degraded_responses_total"
+INFLIGHT = "repro_inflight_requests"
+MUTATIONS = "repro_mutations_applied_total"
+QUEUE_DEPTH = "repro_executor_queue_depth"
 
 
 def canonical_key(kind: str, dataset_id: str, payload: dict) -> str:
@@ -103,18 +120,10 @@ class ServiceState:
     """
 
     #: Lock discipline (convention in :mod:`repro.engines.cache`,
-    #: enforced by ``repro lint``): the ``/stats`` counters move under
-    #: the dedicated counter lock so hot-path increments never contend
-    #: with index builds, which serialise on ``self._lock``.
+    #: enforced by ``repro lint``).  Counts live in ``self.metrics``,
+    #: whose leaf lock never contends with index builds, which
+    #: serialise on ``self._lock``.
     _GUARDED_BY = {
-        "requests": "self._counter_lock",
-        "responses": "self._counter_lock",
-        "computations": "self._counter_lock",
-        "coalesced_requests": "self._counter_lock",
-        "degraded_responses": "self._counter_lock",
-        "timeouts": "self._counter_lock",
-        "inflight": "self._counter_lock",
-        "mutations_applied": "self._counter_lock",
         "_indexes": "self._lock",
         "_index_locks": "self._lock",
     }
@@ -134,7 +143,6 @@ class ServiceState:
         max_timeout_ms: Optional[float] = None,
         faults=None,
         identity: Optional[dict] = None,
-        metrics: Optional[obs_metrics.MetricsRegistry] = None,
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
@@ -161,20 +169,26 @@ class ServiceState:
         #: under ``/stats`` -> ``worker`` so the front's rollup can
         #: label each worker's counters.
         self.identity = dict(identity) if identity else None
-        #: Metrics registry shared with the server/cache instruments;
-        #: defaults to the process-wide one (``GET /metrics``), but
-        #: tests can pass an isolated registry.
-        self.metrics = metrics if metrics is not None else obs_metrics.registry()
+        #: This state's counters; its server registers the HTTP
+        #: instruments here too.
+        self.metrics = obs_metrics.MetricsRegistry()
         self._m_phase = self.metrics.histogram(
-            "repro_phase_duration_seconds",
-            "Measured compute-phase durations, by phase",
-            labelnames=("phase",),
+            "repro_phase_duration_seconds", PHASE_HELP, labelnames=("phase",)
         )
         self._m_computations = self.metrics.counter(
-            "repro_computations_total", "Selections/zooms/mutations executed"
+            COMPUTATIONS, "Selections/zooms/mutations executed"
         )
         self._m_degraded = self.metrics.counter(
-            "repro_degraded_responses_total", "Responses served from the stale tier"
+            DEGRADED, "Responses served from the stale tier"
+        )
+        self._m_mutations = self.metrics.counter(
+            MUTATIONS, "Mutation batches applied to live datasets"
+        )
+        self._m_inflight = self.metrics.gauge(
+            INFLIGHT, "Computations queued or running"
+        )
+        self._m_queue_depth = self.metrics.gauge(
+            QUEUE_DEPTH, "Computations admitted but not yet running"
         )
         self.executor = ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="disc-service"
@@ -183,64 +197,17 @@ class ServiceState:
         self._indexes: Dict[Tuple[str, str], object] = {}
         self._index_locks: Dict[Tuple[str, str], threading.Lock] = {}
         self._lock = threading.Lock()
-        # ``/stats`` counters (server increments requests/coalesced on
-        # the event loop; computations increment in worker threads).
-        self.requests: Dict[str, int] = {}
-        self.responses: Dict[str, int] = {}
-        self.computations = 0
-        self.coalesced_requests = 0
-        self.degraded_responses = 0
-        self.timeouts = 0
-        self.inflight = 0
-        self.mutations_applied = 0
-        self._counter_lock = threading.Lock()
 
     # ------------------------------------------------------------------
-    # Counters
+    # In-flight gauge
     # ------------------------------------------------------------------
-    def count_request(self, endpoint: str) -> None:
-        with self._counter_lock:
-            self.requests[endpoint] = self.requests.get(endpoint, 0) + 1
-
-    def count_response(self, status: int) -> None:
-        with self._counter_lock:
-            key = str(status)
-            self.responses[key] = self.responses.get(key, 0) + 1
-            if status in (408, 504):
-                self.timeouts += 1
-
-    def count_coalesced(self) -> None:
-        with self._counter_lock:
-            self.coalesced_requests += 1
-
-    def count_computation(self) -> None:
-        with self._counter_lock:
-            self.computations += 1
-        self._m_computations.inc()
-
-    def count_degraded(self) -> None:
-        with self._counter_lock:
-            self.degraded_responses += 1
-        self._m_degraded.inc()
-
-    def count_mutation(self) -> None:
-        with self._counter_lock:
-            self.mutations_applied += 1
-
-    def adjust_inflight(self, delta: int) -> int:
-        """Move the in-flight gauge under the counter lock.
-
-        The server calls this from the event loop and ``/stats`` reads
-        the gauge from whatever thread serves it; unlocked ``+=`` here
-        was the torn-read the counter-consistency test pins.
-        """
-        with self._counter_lock:
-            self.inflight += delta
-            return self.inflight
+    def adjust_inflight(self, delta: int) -> None:
+        """Move the in-flight gauge (the server calls this from the
+        event loop; ``/stats`` reads it from any thread)."""
+        self._m_inflight.add(delta)
 
     def current_inflight(self) -> int:
-        with self._counter_lock:
-            return self.inflight
+        return int(self._m_inflight.value())
 
     # ------------------------------------------------------------------
     # Deadlines
@@ -523,14 +490,20 @@ class ServiceState:
         Live datasets get a :class:`~repro.live.serving.LiveCacheView`
         so cache misses resolve through the incremental adjacency
         (cheap alive-mask snapshot) instead of the engine's full
-        rebuild; immutable datasets keep the plain shared view.
+        rebuild; immutable datasets keep the plain shared view.  The
+        view is pinned to ``handle``'s version through its alive mask.
         """
-        if handle.spec.get("live"):
+        spec = handle.spec
+        if spec.get("live"):
+            import numpy as np
+
             from repro.live.serving import LiveCacheView
 
-            live = self.registry.get_live(handle.spec["name"])
+            live = self.registry.get_live(spec["name"])
+            mask = np.zeros(spec["n_total"], dtype=bool)
+            mask[spec["alive_ids"]] = True
             return LiveCacheView(
-                self.cache, handle.dataset_id, handle.dataset.metric, live
+                self.cache, handle.dataset_id, handle.dataset.metric, live, mask
             )
         return self.cache.view(handle.dataset_id, handle.dataset.metric)
 
@@ -567,7 +540,7 @@ class ServiceState:
         scope, so the greedy loops and adjacency builders can abort
         cooperatively when the deadline passes.
         """
-        self.count_computation()
+        self._m_computations.inc()
         if token is None:
             token = CancellationToken()
         t0 = time.perf_counter()
@@ -586,7 +559,7 @@ class ServiceState:
             self._m_phase.observe(time.perf_counter() - sel0, phase="selection")
         degraded = token.degraded is not None
         if degraded:
-            self.count_degraded()
+            self._m_degraded.inc()
         response = {
             "dataset": handle.dataset_id,
             "request": request.to_dict(),
@@ -652,7 +625,7 @@ class ServiceState:
         the session statefulness of the paper's Section 5.2 without the
         server holding per-client state.
         """
-        self.count_computation()
+        self._m_computations.inc()
         if token is None:
             token = CancellationToken()
         t0 = time.perf_counter()
@@ -687,7 +660,7 @@ class ServiceState:
             self._m_phase.observe(time.perf_counter() - sel0, phase="selection")
         degraded = token.degraded is not None
         if degraded:
-            self.count_degraded()
+            self._m_degraded.inc()
         response = {
             "dataset": handle.dataset_id,
             "request": request.to_dict(),
@@ -743,7 +716,7 @@ class ServiceState:
         to the new version's keys instead of being dropped — the next
         ``/select`` hits warm.
         """
-        self.count_computation()
+        self._m_computations.inc()
         if token is None:
             token = CancellationToken()
         t0 = time.perf_counter()
@@ -789,10 +762,10 @@ class ServiceState:
                     self._m_phase.observe(
                         time.perf_counter() - rep0, phase="repair"
                     )
-        self.count_mutation()
+        self._m_mutations.inc()
         degraded = token.degraded is not None
         if degraded:
-            self.count_degraded()
+            self._m_degraded.inc()
         response = {
             "dataset": live.name,
             "dataset_id": new_id,
@@ -847,19 +820,36 @@ class ServiceState:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
+    def metrics_snapshot(self) -> dict:
+        """One snapshot of every registry this state owns — its own and
+        the shared cache's — which ``GET /metrics`` renders and
+        :meth:`stats` reads."""
+        # Executor backlog: computations admitted but not yet running
+        # (inflight counts queued + running; this isolates the queued
+        # component).  A reading, so it is taken at snapshot time.
+        self._m_queue_depth.set(self.executor._work_queue.qsize())
+        snaps = [self.metrics.snapshot()]
+        if self.cache is not None:
+            snaps.append(self.cache.metrics.snapshot())
+        return obs_metrics.merge_snapshots(snaps)
+
     def stats(self) -> dict:
-        """The ``/stats`` payload (plain JSON-serialisable dict)."""
-        with self._counter_lock:
-            counters = {
-                "requests": dict(self.requests),
-                "responses": dict(self.responses),
-                "computations": self.computations,
-                "coalesced_requests": self.coalesced_requests,
-                "degraded_responses": self.degraded_responses,
-                "timeouts": self.timeouts,
-                "inflight": self.inflight,
-                "mutations_applied": self.mutations_applied,
-            }
+        """The ``/stats`` payload (plain JSON-serialisable dict): a view
+        over :meth:`metrics_snapshot`, which it also carries verbatim
+        under ``metrics``."""
+        snap = self.metrics_snapshot()
+        responses = counts_by(snap, RESPONSES, "status")
+        counters = {
+            "requests": counts_by(snap, REQUESTS, "endpoint"),
+            "responses": responses,
+            "computations": count(snap, COMPUTATIONS),
+            "coalesced_requests": count(snap, COALESCED),
+            "degraded_responses": count(snap, DEGRADED),
+            "timeouts": responses.get("408", 0) + responses.get("504", 0),
+            "inflight": count(snap, INFLIGHT),
+            "mutations_applied": count(snap, MUTATIONS),
+            "queue_depth": count(snap, QUEUE_DEPTH),
+        }
         with self._lock:
             indexes = [
                 {"dataset": dataset, "engine": engine_key}
@@ -874,15 +864,11 @@ class ServiceState:
             "default_timeout_ms": self.default_timeout_ms,
             "max_timeout_ms": self.max_timeout_ms,
             **counters,
-            # Executor backlog: computations admitted but not yet
-            # running (inflight counts queued + running; this isolates
-            # the queued component the rollup was blind to).
-            "queue_depth": self.executor._work_queue.qsize(),
             "indexes": indexes,
             "cache": None if self.cache is None else self.cache.cache_info(),
             "faults": None if self.faults is None else self.faults.counters(),
             "datasets": self.registry.describe(),
-            "metrics": self.metrics.snapshot(),
+            "metrics": snap,
         }
 
     def close(self) -> None:

@@ -61,8 +61,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
+from repro.obs.metrics import count, counts_by
 from repro.obs.sink import TraceSink, build_record
 from repro.service.resilience import error_body
+from repro.service.state import REQUESTS, RESPONSES
 from repro.service.server import (
     _json_bytes,
     read_http_request,
@@ -103,6 +105,30 @@ _TRANSPORT_ERRORS = (
     asyncio.IncompleteReadError,
     asyncio.TimeoutError,
 )
+
+#: The front's own families (per-worker ones carry a ``worker`` label).
+REPLAYS = "repro_request_replays_total"
+RESTARTS = "repro_worker_restarts_total"
+CRASHES = "repro_worker_crashes_total"
+STALL_KILLS = "repro_worker_stall_kills_total"
+QUARANTINED = "repro_workers_quarantined_total"
+MUTATIONS_ROUTED = "repro_mutations_routed_total"
+MUTATIONS_REPLAYED = "repro_mutations_replayed_total"
+
+#: Rollup ``totals`` key -> the worker family it sums (and its labels).
+TOTALS_FAMILIES = {
+    "computations": ("repro_computations_total", {}),
+    "coalesced_requests": ("repro_coalesced_requests_total", {}),
+    "degraded_responses": ("repro_degraded_responses_total", {}),
+    "builds": ("repro_adjacency_builds_total", {}),
+    "shm_hits": ("repro_shm_attaches_total", {}),
+    "shm_stores": ("repro_shm_stores_total", {}),
+    "migrations": ("repro_cache_migrations_total", {}),
+    "stale_served": ("repro_cache_lookups_total", {"outcome": "stale"}),
+    "corrupt_entries": ("repro_cache_corrupt_entries_total", {}),
+    "inflight": ("repro_inflight_requests", {}),
+    "queue_depth": ("repro_executor_queue_depth", {}),
+}
 
 
 class WorkerStartupError(RuntimeError):
@@ -311,8 +337,6 @@ class _WorkerSlot:
         "inflight",
         "consecutive_probe_failures",
         "crash_times",
-        "restarts",
-        "crashes",
         "pool",
     )
 
@@ -326,20 +350,20 @@ class _WorkerSlot:
         self.inflight = 0
         self.consecutive_probe_failures = 0
         self.crash_times: deque = deque()
-        self.restarts = 0
-        self.crashes = 0
         #: Idle keep-alive connections: list of (reader, writer).
         self.pool: List[tuple] = []
 
-    def describe(self) -> dict:
+    def describe(self, snapshot: dict) -> dict:
+        """This slot's bookkeeping; restart/crash counts are read from
+        the front's registry ``snapshot`` (labelled by worker id)."""
         return {
             "id": self.id,
             "state": self.state,
             "pid": None if self.process is None else self.process.pid,
             "port": None if self.process is None else self.process.port,
             "generation": self.generation,
-            "restarts": self.restarts,
-            "crashes": self.crashes,
+            "restarts": count(snapshot, RESTARTS, worker=self.id),
+            "crashes": count(snapshot, CRASHES, worker=self.id),
             "inflight_front": self.inflight,
             "datasets": list(self.datasets),
         }
@@ -356,19 +380,11 @@ class Supervisor:
 
     #: Lock discipline (convention in :mod:`repro.engines.cache`): the
     #: supervisor is single-threaded on its event loop, so every
-    #: counter and routing gauge is guarded by the ``event-loop``
-    #: sentinel rather than a lock.  Sync helpers that mutate these run
-    #: only as event-loop callees and say so in their docstrings.
+    #: routing gauge is guarded by the ``event-loop`` sentinel rather
+    #: than a lock.  Sync helpers that mutate these run only as
+    #: event-loop callees and say so in their docstrings.  Event counts
+    #: live in ``self.metrics``; ``/stats`` reads them back from it.
     _GUARDED_BY = {
-        "requests": "event-loop",
-        "responses": "event-loop",
-        "replays": "event-loop",
-        "restarts": "event-loop",
-        "crashes": "event-loop",
-        "stall_kills": "event-loop",
-        "quarantined": "event-loop",
-        "mutations_routed": "event-loop",
-        "mutations_replayed": "event-loop",
         "_active_requests": "event-loop",
         "_rr": "event-loop",
         "_restart_tasks": "event-loop",
@@ -422,16 +438,6 @@ class Supervisor:
         self._active_requests = 0
         self._rr = 0
         self.started_at = time.time()
-        # Counters (event-loop-owned).
-        self.requests: Dict[str, int] = {}
-        self.responses: Dict[str, int] = {}
-        self.replays = 0
-        self.restarts = 0
-        self.crashes = 0
-        self.stall_kills = 0
-        self.quarantined = 0
-        self.mutations_routed = 0
-        self.mutations_replayed = 0
         #: The authoritative ordered mutation history per live dataset.
         #: Workers are replicas of this log: a fresh worker (restarted
         #: after a crash — version 0 again) replays it in order before
@@ -442,20 +448,37 @@ class Supervisor:
         self._mutation_locks: Dict[str, asyncio.Lock] = {}
         #: Front-side trace sink (workers write their own `.w<k>` logs).
         self.trace_sink = None if trace_log is None else TraceSink(trace_log)
-        metrics = obs_metrics.registry()
-        self._m_requests = metrics.counter(
-            "repro_http_requests_total",
-            "HTTP requests received, by endpoint.",
-            ("endpoint",),
+        #: The front's counters; the rollup's ``requests``,
+        #: ``responses`` and ``supervisor`` sections read them back.
+        self.metrics = obs_metrics.MetricsRegistry()
+        counter = self.metrics.counter
+        self._m_requests = counter(
+            REQUESTS, "HTTP requests received, by endpoint.", ("endpoint",)
         )
-        self._m_responses = metrics.counter(
-            "repro_http_responses_total",
-            "HTTP responses written, by status code.",
-            ("status",),
+        self._m_responses = counter(
+            RESPONSES, "HTTP responses written, by status code.", ("status",)
         )
-        self._m_replays = metrics.counter(
-            "repro_request_replays_total",
+        self._m_replays = counter(
+            REPLAYS,
             "Requests replayed onto another worker after a transport failure.",
+        )
+        self._m_restarts = counter(
+            RESTARTS, "Worker restarts that reached healthy, by worker.", ("worker",)
+        )
+        self._m_crashes = counter(
+            CRASHES, "Worker deaths the front detected, by worker.", ("worker",)
+        )
+        self._m_stall_kills = counter(
+            STALL_KILLS, "Wedged workers SIGKILLed after dark health probes."
+        )
+        self._m_quarantined = counter(
+            QUARANTINED, "Workers quarantined after a crash loop."
+        )
+        self._m_mutations_routed = counter(
+            MUTATIONS_ROUTED, "Mutation batches applied by at least one replica."
+        )
+        self._m_mutations_replayed = counter(
+            MUTATIONS_REPLAYED, "Logged mutations replayed into restarted workers."
         )
 
     # ------------------------------------------------------------------
@@ -489,9 +512,14 @@ class Supervisor:
 
     async def stop(self, drain_s: float = 5.0) -> None:
         """Close the front, drain in-flight requests, stop every worker."""
-        if self._heartbeat_task is not None:
-            self._heartbeat_task.cancel()
-            await asyncio.gather(self._heartbeat_task, return_exceptions=True)
+        task = self._heartbeat_task
+        if task is not None:
+            # On Python 3.11 a cancel that lands just as one of the
+            # probe's ``asyncio.wait_for`` calls completes is swallowed,
+            # and the loop keeps beating: cancel until it has finished.
+            while not task.done():
+                task.cancel()
+                await asyncio.wait([task], timeout=self.heartbeat_s)
             self._heartbeat_task = None
         for task in list(self._restart_tasks):
             task.cancel()
@@ -549,8 +577,6 @@ class Supervisor:
                         "request", header=headers.get("x-repro-trace")
                     ) as root:
                         status, payload = await self._route(method, path, body)
-                    key = str(status)
-                    self.responses[key] = self.responses.get(key, 0) + 1
                     self._m_responses.inc(status=status)
                     await write_http_response(
                         writer,
@@ -594,9 +620,7 @@ class Supervisor:
             return 400, error_body("bad_request", "invalid Content-Length header")
         if isinstance(body, dict) and body.get("\x00invalid-json"):
             return 400, error_body("bad_request", "request body is not valid JSON")
-        endpoint = f"{method} {path}"
-        self.requests[endpoint] = self.requests.get(endpoint, 0) + 1
-        self._m_requests.inc(endpoint=endpoint[:48])
+        self._m_requests.inc(endpoint=f"{method} {path}"[:48])
         if method == "GET":
             if path == "/healthz":
                 return 200, self._healthz()
@@ -645,22 +669,28 @@ class Supervisor:
             )
         )
 
+    async def _worker_stats(self) -> List[Optional[dict]]:
+        """Each slot's ``/stats`` payload, fetched once (None for a
+        slot that is not healthy or did not answer)."""
+        out: List[Optional[dict]] = []
+        for slot in self.slots:
+            payload = None
+            if slot.state == "healthy":
+                try:
+                    status, body = await self._proxy(slot, "GET", "/stats", b"")
+                except _TRANSPORT_ERRORS:
+                    status = None
+                if status == 200 and isinstance(body, dict):
+                    payload = body
+            out.append(payload)
+        return out
+
     async def _metrics_text(self) -> str:
         """The cluster-wide Prometheus exposition: the front's own
         registry merged with every healthy worker's snapshot (carried
         inside each worker's ``/stats`` payload)."""
-        snaps = [obs_metrics.registry().snapshot()]
-        for slot in self.slots:
-            if slot.state != "healthy":
-                continue
-            try:
-                status, payload = await self._proxy(slot, "GET", "/stats", b"")
-            except _TRANSPORT_ERRORS:
-                continue
-            if status == 200 and isinstance(payload, dict):
-                snap = payload.get("metrics")
-                if isinstance(snap, dict):
-                    snaps.append(snap)
+        stats = await self._worker_stats()
+        snaps = [self.metrics.snapshot()] + [p["metrics"] for p in stats if p]
         return obs_metrics.render_snapshot(obs_metrics.merge_snapshots(snaps))
 
     # ------------------------------------------------------------------
@@ -753,7 +783,6 @@ class Supervisor:
                         self._on_crash(slot, "exit")
                         break
                     await asyncio.sleep(0.02)
-                self.replays += 1
                 self._m_replays.inc()
                 replays += 1
                 obs_trace.annotate_root(replayed=True, replays=replays)
@@ -848,7 +877,7 @@ class Supervisor:
                 if key not in ("repair", "timeout_ms")
             }
             self._mutation_logs.setdefault(dataset, []).append(log_entry)
-            self.mutations_routed += 1
+            self._m_mutations_routed.inc()
             response = dict(successes[0])
             response["replicas_applied"] = len(successes)
             return 200, response
@@ -969,7 +998,7 @@ class Supervisor:
                             # way out is SIGKILL + restart; the corpse's
                             # sockets die, freeing any in-flight request
                             # to fail over.
-                            self.stall_kills += 1
+                            self._m_stall_kills.inc()
                             process.kill()
                             self._on_crash(slot, "stall")
         except asyncio.CancelledError:
@@ -981,8 +1010,7 @@ class Supervisor:
         slot.state = "restarting"
         slot.generation += 1
         slot.consecutive_probe_failures = 0
-        slot.crashes += 1
-        self.crashes += 1
+        self._m_crashes.inc(worker=slot.id)
         self._close_pool(slot)
         now = time.monotonic()
         slot.crash_times.append(now)
@@ -992,7 +1020,7 @@ class Supervisor:
             # Crash loop: stop burning restarts; the datasets this slot
             # served fail over to the surviving replicas.
             slot.state = "quarantined"
-            self.quarantined += 1
+            self._m_quarantined.inc()
             return
         backoff = min(
             self.backoff_cap_s,
@@ -1013,9 +1041,16 @@ class Supervisor:
                 timeout_s=self.worker_start_timeout_s
             )
 
+        spawn = loop.run_in_executor(None, _spawn)
         try:
-            process = await loop.run_in_executor(None, _spawn)
+            process = await asyncio.shield(spawn)
         except asyncio.CancelledError:
+            # stop() cancelled this restart mid-spawn, but the executor
+            # thread still starts the worker: wait for it and kill it.
+            try:
+                (await spawn).kill()
+            except Exception:
+                pass
             raise
         except Exception:
             # Startup itself failed — counts as another crash, so the
@@ -1038,8 +1073,7 @@ class Supervisor:
             if slot.state == "restarting":
                 self._on_crash(slot, "replay-failed")
             return
-        slot.restarts += 1
-        self.restarts += 1
+        self._m_restarts.inc(worker=slot.id)
 
     async def _replay_mutations(self, slot: _WorkerSlot) -> None:
         """Bring a fresh worker up to date, then mark it healthy.
@@ -1071,7 +1105,7 @@ class Supervisor:
                             f"mutation replay for {name!r} answered {status}: "
                             f"{payload}"
                         )
-                    self.mutations_replayed += 1
+                    self._m_mutations_replayed.inc()
             slot.state = "healthy"
         finally:
             for lock in acquired:
@@ -1081,64 +1115,36 @@ class Supervisor:
     # Stats rollup
     # ------------------------------------------------------------------
     async def _rollup(self) -> dict:
-        workers = []
+        """The front's ``/stats``: a view over its own registry plus the
+        workers' ``/stats``, whose ``totals`` come from the same merged
+        worker snapshot the cluster ``/metrics`` renders."""
+        stats = await self._worker_stats()
+        merged = obs_metrics.merge_snapshots(p["metrics"] for p in stats if p)
         totals = {
-            "computations": 0,
-            "coalesced_requests": 0,
-            "degraded_responses": 0,
-            "builds": 0,
-            "shm_hits": 0,
-            "shm_stores": 0,
-            "migrations": 0,
-            "stale_served": 0,
-            "corrupt_entries": 0,
-            "inflight": 0,
-            "queue_depth": 0,
+            key: count(merged, family, **labels)
+            for key, (family, labels) in TOTALS_FAMILIES.items()
         }
-        for slot in self.slots:
-            entry = slot.describe()
-            entry["stats"] = None
-            if slot.state == "healthy":
-                try:
-                    status, payload = await self._proxy(slot, "GET", "/stats", b"")
-                except _TRANSPORT_ERRORS:
-                    status, payload = None, None
-                if status == 200 and isinstance(payload, dict):
-                    entry["stats"] = payload
-                    totals["computations"] += payload.get("computations", 0) or 0
-                    totals["coalesced_requests"] += (
-                        payload.get("coalesced_requests", 0) or 0
-                    )
-                    totals["degraded_responses"] += (
-                        payload.get("degraded_responses", 0) or 0
-                    )
-                    totals["inflight"] += payload.get("inflight", 0) or 0
-                    totals["queue_depth"] += payload.get("queue_depth", 0) or 0
-                    cache = payload.get("cache") or {}
-                    totals["builds"] += cache.get("builds", 0) or 0
-                    totals["shm_hits"] += cache.get("shm_hits", 0) or 0
-                    totals["shm_stores"] += cache.get("shm_stores", 0) or 0
-                    totals["migrations"] += cache.get("migrations", 0) or 0
-                    totals["stale_served"] += cache.get("stale_served", 0) or 0
-                    totals["corrupt_entries"] += (
-                        cache.get("corrupt_entries", 0) or 0
-                    )
-            workers.append(entry)
         totals["inflight_front"] = sum(slot.inflight for slot in self.slots)
+        front = self.metrics.snapshot()
+        workers = []
+        for slot, payload in zip(self.slots, stats):
+            entry = slot.describe(front)
+            entry["stats"] = payload
+            workers.append(entry)
         return {
             "role": "supervisor",
             "uptime_s": round(time.time() - self.started_at, 3),
             "run_id": self.run_id,
-            "requests": dict(self.requests),
-            "responses": dict(self.responses),
+            "requests": counts_by(front, REQUESTS, "endpoint"),
+            "responses": counts_by(front, RESPONSES, "status"),
             "supervisor": {
-                "replays": self.replays,
-                "restarts": self.restarts,
-                "crashes": self.crashes,
-                "stall_kills": self.stall_kills,
-                "quarantined": self.quarantined,
-                "mutations_routed": self.mutations_routed,
-                "mutations_replayed": self.mutations_replayed,
+                "replays": count(front, REPLAYS),
+                "restarts": count(front, RESTARTS),
+                "crashes": count(front, CRASHES),
+                "stall_kills": count(front, STALL_KILLS),
+                "quarantined": count(front, QUARANTINED),
+                "mutations_routed": count(front, MUTATIONS_ROUTED),
+                "mutations_replayed": count(front, MUTATIONS_REPLAYED),
                 "mutation_log": {
                     name: len(entries)
                     for name, entries in self._mutation_logs.items()

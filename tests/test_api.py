@@ -1,10 +1,9 @@
-"""Tests for the high-level API (repro.api): sessions, shims, pipeline."""
+"""Tests for the high-level API (repro.api): sessions and the pipeline."""
 
 import pytest
 
 from repro import (
     BruteForceIndex,
-    DiscDiversifier,
     DiscSession,
     GridIndex,
     MTreeIndex,
@@ -190,13 +189,8 @@ class TestMetricResolution:
 
 
 class TestDiversifierShim:
-    def test_warns_and_delegates(self, dataset):
-        with pytest.warns(DeprecationWarning, match="DiscSession"):
-            shim = DiscDiversifier(dataset)
-        assert isinstance(shim, DiscSession)
-        result = shim.select(0.2)
-        assert shim.verify().is_disc_diverse
-        assert shim.last_result is result
+    """The deprecated `DiscDiversifier` shim is gone; its replacements
+    must stay usable under DeprecationWarning-as-error."""
 
     def test_session_and_free_functions_do_not_warn(self, dataset):
         import warnings

@@ -1,11 +1,10 @@
-"""Public-API surface snapshot + shim deprecation contract.
+"""Public-API surface snapshot + warning-clean contract.
 
 Pins the exported names and the signatures of the stable entry points
 so an accidental API change fails CI instead of shipping.  The CI
 workflow additionally runs this module with ``-W
-error::DeprecationWarning`` — the shim-deprecation lane: the deprecated
-:class:`~repro.api.DiscDiversifier` must warn (and only it), while the
-supported surface stays warning-clean.
+error::DeprecationWarning``, so the supported surface must stay
+warning-clean.
 
 Updating this file is the deliberate act that changes the public API.
 """
@@ -16,14 +15,13 @@ import warnings
 import pytest
 
 import repro
-from repro import DiscDiversifier, DiscSession, uniform_dataset
+from repro import DiscSession, uniform_dataset
 
 #: The exported surface, frozen.  ``DiscSession``/``SelectRequest``/
 #: ``EngineSpec``/``execute_request`` arrived with the request-pipeline
 #: redesign (ISSUE 4); everything else predates it.
 EXPECTED_ALL = sorted([
     "DiscSession",
-    "DiscDiversifier",
     "SelectRequest",
     "EngineSpec",
     "build_index",
@@ -119,18 +117,6 @@ def test_exported_names_resolve():
 )
 def test_signature_snapshot(func, expected):
     assert str(inspect.signature(func)) == expected
-
-
-def test_diversifier_shim_is_a_session_and_warns():
-    data = uniform_dataset(n=60, seed=3)
-    with pytest.warns(DeprecationWarning, match="DiscSession"):
-        shim = DiscDiversifier(data, engine="brute")
-    assert isinstance(shim, DiscSession)
-    # Shim signature == session signature (it is the same constructor).
-    assert str(inspect.signature(DiscDiversifier.__init__)) == str(
-        inspect.signature(DiscSession.__init__)
-    )
-    assert shim.select(0.2).size >= 1
 
 
 def test_supported_surface_is_warning_clean():

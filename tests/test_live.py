@@ -90,7 +90,7 @@ class TestMutableDataset:
         expected = np.concatenate([live.points_all()] + rows)
         for row in rows:
             live.apply(inserts=row)
-        assert live.compactions >= 2
+        assert live.describe()["compactions"] >= 2
         np.testing.assert_array_equal(live.points_all(), expected)
 
     def test_snapshot_handle_frozen_and_cached(self, rng):
@@ -275,10 +275,36 @@ class TestLiveCacheView:
 
         live = _live(rng, n=40)
         manager = SharedCacheManager(max_entries=8)
-        view = LiveCacheView(manager, live.dataset_id, EUCLIDEAN, live)
+        view = LiveCacheView(
+            manager, live.dataset_id, EUCLIDEAN, live, live.alive_mask()
+        )
         first = view.get(RADIUS)
         assert first is live.adjacency_snapshot(RADIUS)[0]
         assert view.get(RADIUS) is first  # now a plain cache hit
-        assert manager.hits >= 1
+        assert manager.cache_info()["hits"] >= 1
         # The build slot was resolved (counted) by the live path itself.
-        assert manager.builds == 1
+        assert manager.cache_info()["builds"] == 1
+
+    def test_stale_version_miss_builds_that_versions_graph(self, rng):
+        """A miss through a view pinned to v0 must cache v0's adjacency,
+        even after a batch moved the dataset on to v1."""
+        from repro.service import DatasetRegistry, ServiceState, SharedCacheManager
+
+        registry = DatasetRegistry()
+        registry.register_builtin("uniform", n=300, seed=3)
+        live = registry.promote_live("uniform")
+        state = ServiceState(registry, cache=SharedCacheManager(), workers=1)
+        try:
+            handle_v0 = registry.get("uniform")
+            live.apply(inserts=rng.random((20, 2)), deletes=[0, 1, 2, 3, 4])
+            assert live.n_alive == 315
+            view = state._cache_view(handle_v0)
+            csr = view.get(RADIUS)
+            fresh = build_csr_pairwise(handle_v0.dataset.points, EUCLIDEAN, RADIUS)
+            cached = state.cache.peek(("uniform@v0", "euclidean", RADIUS))
+            for got in (csr, cached):
+                assert got.n == 300
+                np.testing.assert_array_equal(got.indptr, fresh.indptr)
+                np.testing.assert_array_equal(got.indices, fresh.indices)
+        finally:
+            state.close()

@@ -460,8 +460,7 @@ class TestMetricsEndpoint:
         client.select("uniform", RADIUS, engine=ENGINE)
         client.select("uniform", RADIUS, engine=ENGINE)
         _, _, after = _http_get(host, port, "/metrics")
-        # Delta-based: the registry is process-global, other tests also
-        # drive this server.
+        # Delta-based: other tests in this module also drive this server.
         assert _sample(after, "repro_http_responses_total", 'status="200"') >= served + 2
         assert (
             _sample(after, "repro_traces_written_total")

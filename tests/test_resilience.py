@@ -321,7 +321,7 @@ class TestSingleFlightFailure:
         assert outcome["kind"] == "failed"
         assert outcome["cause"] is boom
         assert outcome["waited"] < 5.0  # prompt, not build_wait_s
-        assert manager.build_failures == 1
+        assert manager.cache_info()["build_failures"] == 1
 
     def test_build_failed_message_does_not_leak_cause_str(self):
         exc = BuildFailed(KEY, RuntimeError("exploded at /secret/path"))
@@ -345,7 +345,7 @@ class TestSingleFlightFailure:
         thread.join(timeout=5)
         assert not thread.is_alive()
         assert got == [None]  # the waiter now owns the build slot
-        assert manager.build_failures == 0
+        assert manager.cache_info()["build_failures"] == 0
         assert manager.breaker_state(KEY) == "closed"
         manager.abandon(KEY)
 
@@ -381,7 +381,7 @@ class TestBreakerAndStaleTier:
             served = manager.get(KEY)
         assert served is value  # datasets are immutable: same bytes
         assert token.degraded == "stale-adjacency:circuit-open"
-        assert manager.stale_served == 1
+        assert manager.cache_info()["stale_served"] == 1
         info = manager.cache_info()
         assert info["stale_entries"] == 1 and info["stale_served"] == 1
 
@@ -416,7 +416,7 @@ class TestBreakerAndStaleTier:
         assert manager.get(KEY) is None
         manager.put(KEY, value)  # stored copy is poisoned on the way in
         assert manager.get(KEY) is None  # integrity check drops it
-        assert manager.corrupt_entries == 1
+        assert manager.cache_info()["corrupt_entries"] == 1
         assert faults.fired["corrupt_cache"] == 1
         manager.abandon(KEY)
 
@@ -483,18 +483,19 @@ class TestCounterConsistency:
         assert not any(t.is_alive() for t in threads)
         assert not errors, errors
         assert not snapshots_bad
-        assert manager.builds == sum(t["puts"] for t in tallies)
-        assert manager.build_failures == sum(t["fails"] for t in tallies)
+        info = manager.cache_info()
+        assert info["builds"] == sum(t["puts"] for t in tallies)
+        assert info["build_failures"] == sum(t["fails"] for t in tallies)
         for counter in (
-            manager.hits,
-            manager.misses,
-            manager.evictions,
-            manager.expirations,
-            manager.coalesced_builds,
-            manager.stale_served,
-            manager.corrupt_entries,
+            "hits",
+            "misses",
+            "evictions",
+            "expirations",
+            "coalesced_builds",
+            "stale_served",
+            "corrupt_entries",
         ):
-            assert counter >= 0
+            assert info[counter] >= 0
 
     def test_inflight_gauge_balanced_under_threads(self):
         registry = DatasetRegistry()

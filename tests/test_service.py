@@ -127,7 +127,8 @@ class TestSharedCacheManager:
         view.put(0.3, _Sized(8))
         # 0.1 * 3 != 0.3 exactly, but it is the same radius to a user.
         assert view.get(0.1 * 3) is not None
-        assert manager.hits == 1 and manager.builds == 1
+        info = manager.cache_info()
+        assert info["hits"] == 1 and info["builds"] == 1
 
     def test_views_namespace_datasets_and_metrics(self):
         manager = SharedCacheManager()
@@ -151,7 +152,7 @@ class TestSharedCacheManager:
         time.sleep(0.08)
         assert manager.get(key) is None  # expired -> miss, slot claimed
         manager.abandon(key)
-        assert manager.expirations == 1
+        assert manager.cache_info()["expirations"] == 1
 
     def test_byte_budget_evicts_lru(self):
         manager = SharedCacheManager(max_entries=None, max_bytes=100)
@@ -160,7 +161,7 @@ class TestSharedCacheManager:
             manager.get(key)
             manager.put(key, _Sized(60))
         assert len(manager) == 1  # only the most recent survives 100B
-        assert manager.evictions == 2
+        assert manager.cache_info()["evictions"] == 2
         assert manager.cache_info()["bytes"] <= 100
 
     def test_concurrent_misses_coalesce_to_one_build(self):
@@ -189,8 +190,9 @@ class TestSharedCacheManager:
             t.join()
         assert outcomes.count("built") == 1
         assert outcomes.count("waited") == 3
-        assert manager.builds == 1
-        assert manager.coalesced_builds == 3
+        info = manager.cache_info()
+        assert info["builds"] == 1
+        assert info["coalesced_builds"] == 3
 
     def test_abandon_releases_waiters(self):
         manager = SharedCacheManager(build_wait_s=5.0)

@@ -36,7 +36,11 @@ from repro.service.server import start_in_thread
 from repro.service.shm import SharedSegmentStore, ShmCacheBacking
 from repro.service.state import ServiceState
 from repro.service.registry import DatasetRegistry
-from repro.service.supervisor import build_worker_configs, start_supervised
+from repro.service.supervisor import (
+    Supervisor,
+    build_worker_configs,
+    start_supervised,
+)
 
 pytestmark = pytest.mark.skipif(
     not shm_mod.shm_available(), reason="POSIX shared memory not available"
@@ -212,6 +216,69 @@ class TestWorkerConfigs:
     def test_bad_replication_rejected(self):
         with pytest.raises(ValueError, match="replication"):
             build_worker_configs(["a"], 2, replication=3)
+
+
+def test_stop_survives_a_swallowed_heartbeat_cancel():
+    """Python 3.11's ``asyncio.wait_for`` can swallow a cancel that
+    lands as its inner await completes, so the heartbeat loop may
+    outlive one ``cancel()``; ``stop`` must still finish."""
+    import asyncio
+
+    async def scenario():
+        supervisor = Supervisor(build_worker_configs(["a"], 1), heartbeat_s=0.01)
+
+        async def heartbeat():
+            try:
+                await asyncio.sleep(3600)
+            except asyncio.CancelledError:
+                pass  # swallowed, the way wait_for can
+            while True:
+                await asyncio.sleep(supervisor.heartbeat_s)
+
+        supervisor._heartbeat_task = asyncio.ensure_future(heartbeat())
+        await asyncio.sleep(0)
+        await asyncio.wait_for(supervisor.stop(drain_s=0), timeout=10)
+        assert supervisor._heartbeat_task is None
+
+    asyncio.run(scenario())
+
+
+def test_stop_kills_a_worker_restarting_mid_spawn(monkeypatch):
+    """A restart cancelled by ``stop`` while its spawn runs in an
+    executor thread must not leave that worker process behind."""
+    import asyncio
+    import threading
+
+    import repro.service.supervisor as supervisor_mod
+
+    killed = threading.Event()
+
+    class SlowSpawn:
+        pid = port = None
+
+        def __init__(self, slot_id, config):
+            pass
+
+        def start(self, timeout_s):
+            time.sleep(0.3)
+            return self
+
+        def kill(self):
+            killed.set()
+
+    monkeypatch.setattr(supervisor_mod, "WorkerProcess", SlowSpawn)
+
+    async def scenario():
+        supervisor = Supervisor(build_worker_configs(["a"], 1))
+        slot = supervisor.slots[0]
+        slot.state = "restarting"
+        task = asyncio.ensure_future(supervisor._restart(slot, 0.0))
+        supervisor._restart_tasks.add(task)
+        await asyncio.sleep(0.1)  # the spawn is running in its thread
+        await asyncio.wait_for(supervisor.stop(drain_s=0), timeout=10)
+
+    asyncio.run(scenario())
+    assert killed.is_set()
 
 
 # ----------------------------------------------------------------------
