@@ -137,9 +137,10 @@ repeating constantly.
   radius_bucket)` (radii quantised to 12 significant digits; the key is
   deliberately engine-agnostic because `N_r` is a property of the data,
   and engine parity is pinned by tests).  Budgets: entry count + bytes
-  (LRU), optional TTL.  Concurrent misses of one key *single-flight*:
-  the first thread builds, the rest block briefly and reuse
-  (`builds == unique radii` under any concurrency).  Sessions attach
+  (LRU), optional TTL.  Concurrent misses of one key *single-flight*
+  (`repro.service.flight`): the first thread builds, the rest follow
+  within their own deadlines and reuse (`builds == unique radii` under
+  any concurrency).  Sessions attach
   via `DiscSession(..., adjacency_cache=manager.view(dataset_id,
   metric))`.
 * **Request coalescing** — identical concurrent requests (same
@@ -198,8 +199,8 @@ The serving layer degrades predictably instead of hanging or lying.
   | 504 | `server_deadline_exceeded` | the server default/cap expired | yes |
 
 * **Failure containment** — a failing build propagates to every
-  coalesced waiter *promptly* (never by riding out the build-wait
-  timeout); repeated failures trip a per-`(dataset, metric,
+  coalesced waiter *promptly*; a cancelled builder hands the key to a
+  waiter, which builds under its own deadline; repeated failures trip a per-`(dataset, metric,
   radius_bucket)` circuit breaker (closed → open → half-open, with
   exactly one probe per half-open window).  TTL-expired cache entries
   demote to a **stale tier** and are served — response marked

@@ -28,14 +28,14 @@ Build coalescing
 ----------------
 A cache miss makes the caller build the adjacency and ``put`` it back.
 With N concurrent sessions that is N identical builds.  The manager
-single-flights them: the first missing thread becomes the *builder*;
-later threads block (up to ``build_wait_s``) on the builder's event and
-receive the finished adjacency as a hit (counted in
-``coalesced_builds``).  A builder that **raises** calls :meth:`fail`
-(via ``csr_neighborhood``), which hands the exception to every waiter
-promptly as a :class:`~repro.service.resilience.BuildFailed` — waiting
-out ``build_wait_s`` for a value that will never arrive is reserved for
-a builder that silently dies, the liveness fallback.
+single-flights them (policy in :mod:`repro.service.flight`): the first
+missing thread leads the build; later threads follow within their own
+request deadline and receive the finished adjacency as a hit (counted
+in ``coalesced_builds``).  A builder that **raises** calls :meth:`fail`
+(via ``csr_neighborhood``), which hands the exception to every follower
+as a :class:`~repro.service.resilience.BuildFailed` and feeds the
+breaker; a cancelled builder, or :meth:`abandon`, hands the key to a
+follower instead.
 
 Failure containment
 -------------------
@@ -78,6 +78,7 @@ from repro.engines.cache import AdjacencyCache
 from repro.obs import metrics as obs_metrics
 from repro.obs.metrics import count
 from repro.obs import trace as obs_trace
+from repro.service.flight import RELEASED, SingleFlight
 from repro.service.resilience import BuildFailed, CircuitBreaker, CircuitOpen
 
 __all__ = [
@@ -164,18 +165,6 @@ class _Entry:
         return type(self.value).__name__ == self.stamp
 
 
-class _PendingBuild:
-    """One in-flight adjacency build (the single-flight token)."""
-
-    __slots__ = ("owner", "event", "error", "claimed_at")
-
-    def __init__(self, owner: int) -> None:
-        self.owner = owner
-        self.event = threading.Event()
-        self.error: Optional[BaseException] = None
-        self.claimed_at = time.monotonic()
-
-
 class SharedCacheManager:
     """Thread-safe, budgeted, TTL'd adjacency store shared by sessions.
 
@@ -190,9 +179,6 @@ class SharedCacheManager:
     ttl_s:
         Seconds an entry stays fresh after insertion (None = forever);
         expired entries demote to the stale tier.
-    build_wait_s:
-        How long a missing thread waits for a concurrent builder of the
-        same key before giving up and building itself.
     failure_threshold / breaker_reset_s:
         Per-key circuit breaker: consecutive build failures before the
         circuit opens, and the cooldown before a half-open probe.
@@ -214,7 +200,6 @@ class SharedCacheManager:
     _GUARDED_BY = {
         "_entries": "self._lock",
         "_stale": "self._lock",
-        "_pending": "self._lock",
         "_breakers": "self._lock",
         "_build_seconds": "self._lock",
         "_backing_claims": "self._lock",
@@ -225,7 +210,6 @@ class SharedCacheManager:
         max_entries: Optional[int] = 64,
         max_bytes: Optional[int] = None,
         ttl_s: Optional[float] = None,
-        build_wait_s: float = 60.0,
         *,
         failure_threshold: int = 3,
         breaker_reset_s: float = 30.0,
@@ -241,7 +225,6 @@ class SharedCacheManager:
         self.max_entries = max_entries
         self.max_bytes = max_bytes
         self.ttl_s = ttl_s
-        self.build_wait_s = build_wait_s
         self.failure_threshold = failure_threshold
         self.breaker_reset_s = breaker_reset_s
         self.faults = faults
@@ -249,7 +232,7 @@ class SharedCacheManager:
         self._lock = threading.RLock()
         self._entries: "OrderedDict[CacheKey, _Entry]" = OrderedDict()
         self._stale: "OrderedDict[CacheKey, _Entry]" = OrderedDict()
-        self._pending: Dict[CacheKey, _PendingBuild] = {}
+        self._flights = SingleFlight()
         self._breakers: Dict[CacheKey, CircuitBreaker] = {}
         self._build_seconds: Dict[CacheKey, float] = {}
         self._backing_claims: Dict[CacheKey, object] = {}
@@ -368,12 +351,6 @@ class SharedCacheManager:
             self._m_transitions.inc(to=after)
         return result
 
-    def _claim(self, key: CacheKey) -> None:
-        """Claim the build slot for this thread.  Caller holds
-        ``self._lock``."""
-        self._pending[key] = _PendingBuild(threading.get_ident())
-        self._m_lookups.inc(outcome="miss")
-
     def _rebuild_too_tight(self, key: CacheKey) -> bool:
         """Would a rebuild overshoot the ambient deadline?"""
         estimate = self._build_seconds.get(key)
@@ -415,12 +392,12 @@ class SharedCacheManager:
         the build and must :meth:`put` (or :meth:`fail`/:meth:`abandon`)
         the key.
 
-        If another thread is already building this key, blocks up to
-        ``build_wait_s`` for its result instead of duplicating the
-        build; a builder that raised hands its exception over promptly
-        as :class:`BuildFailed`.  While the key's circuit breaker is
-        open — or the ambient deadline cannot fit a rebuild — a stale
-        value is served degraded instead of building.
+        If another thread is already building this key, follows that
+        build within the ambient deadline instead of duplicating it; a
+        builder that raised hands its exception over as
+        :class:`BuildFailed`.  While the key's circuit breaker is open —
+        or the ambient deadline cannot fit a rebuild — a stale value is
+        served degraded instead of building.
         """
         value = self._get(key)
         if value is None:
@@ -428,41 +405,32 @@ class SharedCacheManager:
         return self._materialise(key, value)
 
     def _get(self, key: CacheKey):
-        deadline = time.monotonic() + self.build_wait_s
+        me = threading.get_ident()
         while True:
             with self._lock:
                 value = self._fresh_value(key)
                 if value is not None:
                     self._m_lookups.inc(outcome="hit")
                     return value
-                pending = self._pending.get(key)
-                if pending is not None and pending.owner == threading.get_ident():
+                flight = self._flights.current(key)
+                if flight is not None and flight.owner == me:
                     # Re-entrant miss (builder probing again): keep
                     # ownership, let it proceed with its build.
                     self._m_lookups.inc(outcome="miss")
                     return None
-                if pending is None:
-                    # No build in flight: we would become the builder —
-                    # unless the breaker or the deadline says otherwise.
-                    breaker = self._breakers.get(key)
-                    if breaker is not None and not self._breaker_step(
-                        breaker, breaker.allow
-                    ):
-                        stale = self._stale_value(key)
-                        if stale is not None:
-                            return self._serve_stale(key, stale, "circuit-open")
-                        raise CircuitOpen(key, breaker.retry_after_s())
-                    if self._rebuild_too_tight(key):
-                        stale = self._stale_value(key)
-                        if stale is not None:
-                            return self._serve_stale(key, stale, "deadline")
-                    self._claim(key)
-                else:
-                    event = pending.event
-            if pending is None:
-                # Claimed the build slot; injected faults fire here so a
-                # "build raises"/"slow build" exercises the exact path a
-                # real engine failure takes (fail() + propagation).
+                if flight is None:
+                    # No build in flight: we would lead it — unless the
+                    # breaker or the deadline says otherwise.
+                    stale = self._stale_instead(key)
+                    if stale is not None:
+                        return stale
+                leading, flight = self._flights.begin(key, owner=me)
+                if leading:
+                    self._m_lookups.inc(outcome="miss")
+            if leading:
+                # Injected faults fire here so a "build raises"/"slow
+                # build" exercises the exact path a real engine failure
+                # takes (fail() + propagation).
                 if self.faults is not None:
                     try:
                         self.faults.on_build()
@@ -470,44 +438,48 @@ class SharedCacheManager:
                         self.fail(key, exc)
                         raise
                 if self.backing is not None:
-                    value = self._backing_fetch(key)
-                    if value is not None:
-                        # The shm attach resolves this thread's local
-                        # claim too: wake any local waiters.
-                        return value
+                    # An shm attach resolves the local flight too.
+                    return self._backing_fetch(key)
                 return None
-            # Someone else is building: wait outside the lock.
-            if not event.wait(timeout=max(0.0, deadline - time.monotonic())):
-                # Builder stalled or abandoned without notice — take
-                # over ownership rather than deadlocking.
+            try:
+                value = self._flights.wait(flight, current_token())
+            except OperationCancelled:
+                raise  # this follower's own deadline
+            except Exception as exc:
+                # The builder raised.  With the breaker open and a stale
+                # value on hand, degrade instead of failing the request.
                 with self._lock:
-                    if self._pending.get(key) is pending:
-                        self._claim(key)
-                        return None
-                continue  # ownership changed hands; re-evaluate
-            if pending.error is not None:
-                # The builder raised: propagate promptly.  With the
-                # breaker open and a stale value on hand, degrade
-                # instead of failing the request.
-                with self._lock:
-                    breaker = self._breakers.get(key)
-                    if breaker is not None and not self._breaker_step(
-                        breaker, breaker.allow
-                    ):
-                        stale = self._stale_value(key)
-                        if stale is not None:
-                            return self._serve_stale(key, stale, "circuit-open")
-                raise BuildFailed(key, pending.error)
-            with self._lock:
-                value = self._fresh_value(key)
-                if value is not None:
-                    self._m_coalesced.inc()
-                    self._m_lookups.inc(outcome="hit")
-                    return value
-                if key not in self._pending:
-                    self._claim(key)
-                    return None
-            # Another thread re-registered first; wait for it in turn.
+                    stale = self._stale_instead(key, after_failure=True)
+                if stale is not None:
+                    return stale
+                raise BuildFailed(key, exc)
+            if value is not RELEASED:
+                self._m_coalesced.inc()
+                self._m_lookups.inc(outcome="hit")
+                return value
+            # The builder gave up without a value: begin again.
+
+    def _stale_instead(self, key: CacheKey, *, after_failure: bool = False):
+        """A degraded stale value to serve instead of building, or None.
+
+        Serves stale while the key's breaker is open — raising
+        :class:`CircuitOpen` when there is none, unless the caller
+        reports a build failure ``after_failure`` itself — and when the
+        ambient deadline cannot fit a rebuild.  Caller holds
+        ``self._lock``.
+        """
+        breaker = self._breakers.get(key)
+        if breaker is not None and not self._breaker_step(breaker, breaker.allow):
+            stale = self._stale_value(key)
+            if stale is not None:
+                return self._serve_stale(key, stale, "circuit-open")
+            if not after_failure:
+                raise CircuitOpen(key, breaker.retry_after_s())
+        elif not after_failure and self._rebuild_too_tight(key):
+            stale = self._stale_value(key)
+            if stale is not None:
+                return self._serve_stale(key, stale, "deadline")
+        return None
 
     def peek(self, key: CacheKey):
         """The cached adjacency or None — no build slot is claimed and
@@ -546,8 +518,9 @@ class SharedCacheManager:
         return None
 
     def _install(self, key: CacheKey, value, *, count_build: bool) -> None:
-        """Insert a value and wake coalesced waiters (shared by local
-        builds and shm attaches; only the former counts as a build)."""
+        """Insert a value and hand it to the key's followers (shared by
+        local builds and shm attaches; only the former counts as a
+        build)."""
         now = time.monotonic()
         expires = None if self.ttl_s is None else now + self.ttl_s
         stored = value
@@ -561,28 +534,23 @@ class SharedCacheManager:
             self._stale.pop(key, None)  # fresh build supersedes stale
             if count_build:
                 self._m_builds.inc()
-            pending = self._pending.pop(key, None)
-            if pending is not None:
-                self._build_seconds[key] = max(
-                    1e-6, now - pending.claimed_at
-                )
+            flight = self._flights.resolve(key, value)
+            if flight is not None:
+                self._build_seconds[key] = max(1e-6, now - flight.started)
             breaker = self._breakers.get(key)
             if breaker is not None:
                 self._breaker_step(breaker, breaker.record_success)
             self._evict()
-        if pending is not None:
-            pending.event.set()
-        if count_build:
-            if pending is not None:
-                # The build ran inside the engine, below any span seam;
-                # reconstruct it retroactively from the claim timestamp
-                # so traces still show where a slow request's time went.
-                build_s = max(0.0, now - pending.claimed_at)
-                obs_trace.record_phase("adjacency-build", build_s * 1000.0)
-                self._m_phase.observe(build_s, phase="adjacency-build")
+        if count_build and flight is not None:
+            # The build ran inside the engine, below any span seam;
+            # reconstruct it retroactively from the flight's start so
+            # traces still show where a slow request's time went.
+            build_s = max(0.0, now - flight.started)
+            obs_trace.record_phase("adjacency-build", build_s * 1000.0)
+            self._m_phase.observe(build_s, phase="adjacency-build")
 
     def put(self, key: CacheKey, value) -> None:
-        """Insert a built adjacency; wakes any coalesced waiters and
+        """Insert a built adjacency; hands it to any followers and
         publishes to the cross-process backing when this process holds
         the cluster-wide build claim."""
         self._install(key, value, count_build=True)
@@ -592,21 +560,17 @@ class SharedCacheManager:
             try:
                 if self.backing.publish(claim, value):
                     self._m_shm_stores.inc()
-            except OperationCancelled:
-                # The deadline expired mid-publish: release the
-                # cluster-wide claim so a healthy worker takes over the
-                # publish, and propagate so this request answers
+            except Exception as exc:
+                # Release the cluster-wide claim so a healthy worker
+                # takes over the publish.  A deadline that expired
+                # mid-publish propagates, so this request answers
                 # 408/504 instead of silently losing its cancellation.
                 try:
                     claim.abandon()
                 except Exception:  # pragma: no cover - defensive
                     pass
-                raise
-            except Exception:
-                try:
-                    claim.abandon()
-                except Exception:  # pragma: no cover - defensive
-                    pass
+                if isinstance(exc, OperationCancelled):
+                    raise
 
     def _release_backing(self, key: CacheKey) -> None:
         with self._lock:
@@ -621,36 +585,32 @@ class SharedCacheManager:
         """Give up a build slot claimed by a miss (nothing to cache).
 
         Engines that cannot materialise an adjacency (``_build_csr``
-        returning None) never call :meth:`put`; releasing the pending
-        token here lets waiters proceed immediately instead of riding
-        out ``build_wait_s``.
+        returning None) never call :meth:`put`; releasing the flight
+        here lets one follower lead at once.
         """
         self._release_backing(key)
         with self._lock:
-            pending = self._pending.pop(key, None)
-        if pending is not None:
-            pending.event.set()
+            self._flights.release(key)
 
     def fail(self, key: CacheKey, exc: BaseException) -> None:
         """A claimed build raised: propagate to waiters, feed the breaker.
 
         Cooperative cancellations are *not* failures — the dependency
         is healthy, the requester just ran out of budget — so they
-        release the slot like :meth:`abandon` and let a waiter take
-        over the build under its own deadline.
+        release the slot like :meth:`abandon` and let a follower lead
+        the build under its own deadline.
         """
         if isinstance(exc, OperationCancelled):
             self.abandon(key)
             return
         self._release_backing(key)
         with self._lock:
-            pending = self._pending.pop(key, None)
             self._m_build_failures.inc()
             breaker = self._breaker(key)
             self._breaker_step(breaker, breaker.record_failure)
-        if pending is not None:
-            pending.error = exc  # must precede the wake-up
-            pending.event.set()
+            # After the breaker step: a follower woken by the error
+            # consults the breaker.
+            self._flights.fail(key, exc)
 
     # ------------------------------------------------------------------
     # Live-dataset migration
@@ -812,12 +772,8 @@ class SharedCacheManager:
             self._stale.clear()
             self._breakers.clear()
             self._build_seconds.clear()
-            pending = list(self._pending.values())
-            self._pending.clear()
             claims = list(self._backing_claims.values())
             self._backing_claims.clear()
-        for build in pending:
-            build.event.set()
         for claim in claims:
             try:
                 self.backing.abandon(claim)

@@ -16,9 +16,9 @@ forcing loads.  :class:`DatasetRegistry` provides exactly that:
   adjacency cache), with the point matrix marked read-only so no
   request can mutate data other sessions compute on.
 
-Loads are guarded per name: two first-requests for the same dataset
-coalesce into one load, while loads of *different* datasets proceed in
-parallel.
+Loads single-flight per name (:class:`~repro.service.flight.
+SingleFlight`): two first-requests for the same dataset coalesce into
+one load, while loads of *different* datasets proceed in parallel.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
+from repro.cancellation import current_token
 from repro.datasets import (
     Dataset,
     cameras_dataset,
@@ -35,6 +36,7 @@ from repro.datasets import (
     uniform_dataset,
 )
 from repro.distance import get_metric
+from repro.service.flight import SingleFlight
 
 __all__ = ["DatasetHandle", "DatasetRegistry", "BUILTIN_DATASETS"]
 
@@ -87,7 +89,7 @@ class DatasetRegistry:
         self._handles: Dict[str, DatasetHandle] = {}
         self._live: Dict[str, object] = {}
         self._lock = threading.Lock()
-        self._load_locks: Dict[str, threading.Lock] = {}
+        self._loads = SingleFlight()
 
     # ------------------------------------------------------------------
     # Registration
@@ -105,7 +107,6 @@ class DatasetRegistry:
             if name in self._specs:
                 raise ValueError(f"dataset {name!r} is already registered")
             self._specs[name] = {"loader": loader, "describe": dict(describe)}
-            self._load_locks[name] = threading.Lock()
 
     def register_builtin(
         self, name: str, *, n: Optional[int] = None, seed: int = 42
@@ -220,14 +221,14 @@ class DatasetRegistry:
             if spec is None:
                 known = sorted(set(self._specs) | set(self._handles))
                 raise KeyError(f"unknown dataset {name!r}; registered: {known}")
-            load_lock = self._load_locks[name]
-        with load_lock:
-            # Double-checked: a concurrent first-request may have loaded
-            # while this thread waited on the per-name lock.
+
+        def load() -> DatasetHandle:
+            # Re-checked by the leader: an earlier load may have
+            # finished between the caller's lookup and its lead.
             with self._lock:
                 handle = self._handles.get(name)
-                if handle is not None:
-                    return handle
+            if handle is not None:
+                return handle
             dataset = spec["loader"]()
             if not isinstance(dataset, Dataset):
                 raise TypeError(
@@ -238,6 +239,8 @@ class DatasetRegistry:
             with self._lock:
                 self._handles[name] = handle
             return handle
+
+        return self._loads.run(name, load, current_token())
 
     @staticmethod
     def _freeze(name: str, dataset: Dataset, spec: dict) -> DatasetHandle:

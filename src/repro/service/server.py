@@ -53,11 +53,13 @@ requests get ``503`` instead of joining an unbounded queue.
 
 **Single-flight**: concurrent requests with the same canonical key
 (endpoint + dataset + validated request) share one computation — the
-first becomes the leader, the rest await the leader's future and are
-counted in ``coalesced_requests``.  Combined with the shared adjacency
-cache this gives the multi-user zoom workload its throughput: N users
-asking for the same view cost one selection, and different radii on
-the same dataset still share the materialised adjacency.
+first leads, the rest follow within their own deadlines (policy in
+:mod:`repro.service.flight`) and, when served the leader's response,
+are counted in ``coalesced_requests``.  Combined with the shared
+adjacency cache this gives the multi-user zoom workload its
+throughput: N users asking for the same view cost one selection, and
+different radii on the same dataset still share the materialised
+adjacency.
 
 Error contract
 --------------
@@ -83,6 +85,7 @@ from repro.obs import trace as obs_trace
 from repro.obs.metrics import render_snapshot
 from repro.obs.sink import TraceSink, build_record
 from repro.service.faults import InjectedFault
+from repro.service.flight import RELEASED, SingleFlight
 from repro.service.resilience import (
     BuildFailed,
     CircuitOpen,
@@ -250,12 +253,9 @@ class DiscServer:
     #: — never touched from executor threads — so the guard is the
     #: ``event-loop`` sentinel, not a lock expression.
     _GUARDED_BY = {
-        "_inflight": "event-loop",
-        "_idem_inflight": "event-loop",
         "_completed": "event-loop",
         "_conn_tasks": "event-loop",
         "_active_requests": "event-loop",
-        "_mutation_seq": "event-loop",
     }
 
     def __init__(
@@ -295,12 +295,10 @@ class DiscServer:
             "repro_traces_written_total", "Trace records written to the sink"
         )
         self._server: Optional[asyncio.AbstractServer] = None
-        self._inflight: Dict[str, asyncio.Future] = {}
-        self._idem_inflight: Dict[str, asyncio.Future] = {}
+        self._flights = SingleFlight()
         self._completed: "OrderedDict[str, dict]" = OrderedDict()
         self._conn_tasks: set = set()
         self._active_requests = 0
-        self._mutation_seq = 0
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -550,15 +548,10 @@ class DiscServer:
             handle, request = self.state.validate_select(payload)
         token = self.state.deadline_token(timeout_ms)
         key = canonical_key("select", handle.dataset_id, request.to_dict())
-        shared, coalesced = await self._single_flight(
+        return await self._single_flight(
             key, idem, token,
             lambda: self.state.run_select(handle, request, token),
         )
-        response = dict(shared)
-        response["coalesced"] = coalesced
-        if coalesced:
-            obs_trace.annotate_root(coalesced=True)
-        return 200, response
 
     async def _zoom(self, payload: dict) -> Tuple[int, dict]:
         payload, timeout_ms, idem = extract_request_meta(payload)
@@ -575,18 +568,13 @@ class DiscServer:
             # — two zooms from different selections must not coalesce.
             key_payload["previous"] = previous["selected"]
         key = canonical_key("zoom", handle.dataset_id, key_payload)
-        shared, coalesced = await self._single_flight(
+        return await self._single_flight(
             key, idem, token,
             lambda: self.state.run_zoom(
                 handle, request, to_radius, zoom_options, token,
                 previous=previous,
             ),
         )
-        response = dict(shared)
-        response["coalesced"] = coalesced
-        if coalesced:
-            obs_trace.annotate_root(coalesced=True)
-        return 200, response
 
     async def _mutate(self, payload: dict) -> Tuple[int, dict]:
         payload, timeout_ms, idem = extract_request_meta(payload)
@@ -594,40 +582,15 @@ class DiscServer:
             live, inserts, deletes, repair = self.state.validate_mutate(payload)
         token = self.state.deadline_token(timeout_ms)
         # A mutation is a state transition, never a cacheable read: two
-        # identical-looking batches are two distinct mutations, so the
-        # single-flight key carries a per-server nonce and only the
-        # idempotency path (client retries of ONE logical batch) ever
-        # joins or replays.
-        self._mutation_seq += 1
-        key = canonical_key(
-            "mutate", live.name, {"seq": self._mutation_seq}
-        )
-        shared, coalesced = await self._single_flight(
-            key, idem, token,
+        # identical-looking batches are two distinct mutations, so it
+        # has no content key and only the idempotency path (client
+        # retries of ONE logical batch) ever joins or replays.
+        return await self._single_flight(
+            None, idem, token,
             lambda: self.state.run_mutate(
                 live, inserts, deletes, repair, token
             ),
         )
-        response = dict(shared)
-        response["coalesced"] = coalesced
-        return 200, response
-
-    async def _await_follower(self, future: asyncio.Future, token):
-        """Wait on another request's computation within our own budget.
-
-        A follower's deadline is its own: expiring here answers 408/504
-        without cancelling the leader (hence the shield).
-        """
-        remaining = token.remaining()
-        if remaining is None:
-            return await asyncio.shield(future)
-        try:
-            return await asyncio.wait_for(asyncio.shield(future), timeout=remaining)
-        except asyncio.TimeoutError:
-            raise OperationCancelled(
-                "deadline exceeded awaiting shared computation",
-                source=token.source,
-            ) from None
 
     def _remember(self, idem: str, result: dict) -> None:
         """Store a completed response for idempotent replay (runs on
@@ -637,20 +600,30 @@ class DiscServer:
         while len(self._completed) > IDEMPOTENCY_CACHE_SIZE:
             self._completed.popitem(last=False)
 
+    @staticmethod
+    def _answer(result: dict, coalesced: bool) -> Tuple[int, dict]:
+        response = dict(result)
+        response["coalesced"] = coalesced
+        if coalesced:
+            obs_trace.annotate_root(coalesced=True)
+        return 200, response
+
     async def _single_flight(
-        self, key: str, idem: Optional[str], token, thunk
-    ) -> Tuple[dict, bool]:
+        self, key: Optional[str], idem: Optional[str], token, thunk
+    ) -> Tuple[int, dict]:
         """Run ``thunk`` in the executor, sharing identical in-flight work.
 
-        Returns ``(result, coalesced)``.  The leader owns the executor
-        job; followers await the leader's future.  Retries carrying an
-        ``idempotency_key`` land here twice: a key whose computation is
-        still in flight joins it (even with coalescing disabled — a
-        retry is by definition the same logical request), and a key
-        that already completed replays the stored response without
-        touching the executor.  With coalescing disabled every *new*
-        request is its own leader (the load harness measures exactly
-        this delta).
+        Returns the 200 response, marked ``coalesced`` when it is
+        another request's.  ``key`` is the request's content identity
+        (None: never coalesce by content).  The leader owns the executor
+        job; followers wait for its response within ``token``.  Retries
+        carrying an ``idempotency_key`` land here twice: a key whose
+        computation is still in flight joins it (even with coalescing
+        disabled — a retry is by definition the same logical request),
+        and a key that already completed replays the stored response
+        without touching the executor.  With coalescing disabled every
+        *new* request is its own leader (the load harness measures
+        exactly this delta).
         """
         state = self.state
         if idem is not None:
@@ -658,30 +631,29 @@ class DiscServer:
             if done is not None:
                 self._completed.move_to_end(idem)
                 self._m_coalesced.inc()
-                return done, True
-            existing = self._idem_inflight.get(idem)
-            if existing is not None:
+                return self._answer(done, True)
+        keys = ((("idem", idem),) if idem is not None else ()) + (
+            (key,) if state.coalesce and key is not None else ()
+        )
+        flight_key = keys[0] if keys else None
+        while keys:
+            leading, flight = self._flights.begin(*keys)
+            if leading:
+                break
+            result = await self._flights.wait_async(flight, token)
+            if result is not RELEASED:
                 self._m_coalesced.inc()
-                return await self._await_follower(existing, token), True
-        if state.coalesce:
-            existing = self._inflight.get(key)
-            if existing is not None:
-                self._m_coalesced.inc()
-                return await self._await_follower(existing, token), True
+                return self._answer(result, True)
         if (
             state.max_inflight is not None
             and state.current_inflight() >= state.max_inflight
         ):
+            if flight_key is not None:
+                self._flights.release(flight_key)
             raise ServiceUnavailable(
                 f"server is at capacity ({state.max_inflight} computations "
                 "queued or running); retry shortly"
             )
-        loop = asyncio.get_running_loop()
-        future: asyncio.Future = loop.create_future()
-        if state.coalesce:
-            self._inflight[key] = future
-        if idem is not None:
-            self._idem_inflight[idem] = future
         state.adjust_inflight(1)
         # run_in_executor does not copy contextvars: capture the
         # request's span here and re-enter it inside the worker thread
@@ -692,27 +664,20 @@ class DiscServer:
             with obs_trace.attach(parent_span):
                 return thunk()
 
+        loop = asyncio.get_running_loop()
         try:
             result = await loop.run_in_executor(state.executor, traced_thunk)
-        except Exception as exc:
-            if not future.done():
-                future.set_exception(exc)
-                # A follower may or may not exist; if none ever awaits,
-                # silence the "exception never retrieved" warning.
-                future.exception()
+        except BaseException as exc:
+            if flight_key is not None:
+                self._flights.fail(flight_key, exc)
             raise
-        else:
-            if not future.done():
-                future.set_result(result)
-            if idem is not None:
-                self._remember(idem, result)
-            return result, False
         finally:
             state.adjust_inflight(-1)
-            if state.coalesce and self._inflight.get(key) is future:
-                del self._inflight[key]
-            if idem is not None and self._idem_inflight.get(idem) is future:
-                del self._idem_inflight[idem]
+        if flight_key is not None:
+            self._flights.resolve(flight_key, result)
+        if idem is not None:
+            self._remember(idem, result)
+        return self._answer(result, False)
 
 
 # ----------------------------------------------------------------------

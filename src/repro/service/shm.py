@@ -17,7 +17,11 @@ Ownership protocol (``builds == unique radii`` cluster-wide)
     segment says "building".  A claimer that dies mid-build (even
     ``kill -9``) is detected by a pid liveness probe on the recorded
     owner, and the claim is *taken over*: the stale segments are
-    unlinked and the next process re-claims.
+    unlinked and the next process re-claims.  A meta segment its
+    claimer has not stamped yet (size 0 before ``ftruncate``, or a
+    zero magic before the header write) also reads as "building"; it
+    is taken over only once it has stayed unstamped for
+    :data:`_UNSTAMPED_GRACE_S`.
 
 Checksum stamps (a torn segment is rebuilt, never served)
     The payload bytes are stamped with a CRC32 at publish time and the
@@ -58,6 +62,8 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.cancellation import OperationCancelled
+from repro.obs import metrics as obs_metrics
+from repro.obs.metrics import counts_by
 
 __all__ = [
     "SegmentClaim",
@@ -88,6 +94,15 @@ _HEADER = struct.Struct("<8sBQdII")
 _STATUS_BUILDING = 0
 _STATUS_READY = 1
 _STATUS_FAILED = 2
+
+#: Seconds a meta segment may stay unstamped (its claimer between
+#: ``shm_open`` and the header write) before it counts as abandoned.
+_UNSTAMPED_GRACE_S = 2.0
+
+#: Registry family of the store's segment events; its ``event`` label
+#: values are the :meth:`SharedSegmentStore.counters` keys.
+SEGMENT_EVENTS = "repro_shm_segment_events_total"
+_EVENTS = ("attaches", "publishes", "takeovers", "checksum_failures", "wait_timeouts")
 
 #: Payload arrays are laid out on cache-line boundaries.
 _ALIGN = 64
@@ -149,22 +164,17 @@ def _open_segment(name: str, *, create: bool = False, size: int = 0, untrack: bo
 def _unlink_quiet(name: str) -> bool:
     """Unlink a segment by name; True when this call removed it.
 
-    The handle stays *tracked* so ``unlink()``'s own unregister balances
-    the open's register — untracking first would make the tracker log a
-    KeyError for every sweep.
+    Unlinks by name without mapping the segment, so a segment its
+    creator never sized (size 0) is removed too, and the resource
+    tracker never sees a handle.
     """
+    import _posixshmem
+
     try:
-        shm = _open_segment(name, untrack=False)
-    except FileNotFoundError:
+        _posixshmem.shm_unlink("/" + name)
+    except FileNotFoundError:  # gone already, or lost the race
         return False
-    removed = True
-    try:
-        shm.unlink()
-    except FileNotFoundError:  # lost the unlink race to another process
-        _untrack(shm)
-        removed = False
-    shm.close()
-    return removed
+    return True
 
 
 def _key_digest(key: str) -> str:
@@ -397,12 +407,14 @@ class SharedSegmentStore:
         #: name -> [shm, refcount]
         self._held: Dict[str, list] = {}
         self._claims: Dict[str, SegmentClaim] = {}
+        #: key -> (first, last) monotonic times its meta segment was
+        #: seen unstamped
+        self._unstamped: Dict[str, Tuple[float, float]] = {}
         self._lease = None
-        self.attaches = 0
-        self.publishes = 0
-        self.takeovers = 0
-        self.checksum_failures = 0
-        self.wait_timeouts = 0
+        self.metrics = obs_metrics.MetricsRegistry()
+        self._m_events = self.metrics.counter(
+            SEGMENT_EVENTS, "Shared-memory segment events, by kind.", ("event",)
+        )
         if hold_lease:
             self._lease = _open_segment(
                 _lease_name(self.run_id), create=True, size=64
@@ -485,8 +497,7 @@ class SharedSegmentStore:
         first = True
         while True:
             if not first and time.monotonic() >= deadline:
-                with self._lock:
-                    self.wait_timeouts += 1
+                self._m_events.inc(event="wait_timeouts")
                 return "miss", None
             first = False
             token = current_token()
@@ -511,9 +522,12 @@ class SharedSegmentStore:
             return None
         except OSError:  # pragma: no cover - /dev/shm unusable
             return None
+        # Magic last: an attacher sees a zero magic (unstamped, still
+        # building) or a complete header, never a torn one.
         _HEADER.pack_into(
-            meta.buf, 0, _MAGIC, _STATUS_BUILDING, os.getpid(), time.time(), 0, 0
+            meta.buf, 0, bytes(8), _STATUS_BUILDING, os.getpid(), time.time(), 0, 0
         )
+        meta.buf[: len(_MAGIC)] = _MAGIC
         claim = SegmentClaim(self, key, meta)
         with self._lock:
             self._claims[key] = claim
@@ -525,15 +539,23 @@ class SharedSegmentStore:
         try:
             meta = _open_segment(name)
         except FileNotFoundError:
+            with self._lock:
+                self._unstamped.pop(key, None)
             return "absent", None
+        except ValueError:  # size 0: the claimer has not ftruncated yet
+            return self._unstamped_claim(key)
         try:
             header = _HEADER.unpack_from(meta.buf, 0)
         except struct.error:
             header = None
         if header is None or header[0] != _MAGIC:
             meta.close()
+            if header is not None and not any(header[0]):
+                return self._unstamped_claim(key)
             self._takeover(key)
             return "absent", None
+        with self._lock:
+            self._unstamped.pop(key, None)
         _, status, owner_pid, _, crc, desc_len = header
         if status == _STATUS_BUILDING:
             meta.close()
@@ -564,6 +586,23 @@ class SharedSegmentStore:
             return "absent", None
         return "value", payload
 
+    def _unstamped_claim(self, key: str):
+        """``("building", None)`` for a meta segment its claimer has not
+        stamped yet — or, once this store has watched it stay unstamped
+        for :data:`_UNSTAMPED_GRACE_S` (the claimer died in that gap), a
+        takeover and ``("absent", None)``."""
+        now = time.monotonic()
+        with self._lock:
+            first, last = self._unstamped.get(key, (now, now))
+            if now - last > _UNSTAMPED_GRACE_S:
+                first = now  # not watched since: maybe another claimer
+            if now - first < _UNSTAMPED_GRACE_S:
+                self._unstamped[key] = (first, now)
+                return "building", None
+            del self._unstamped[key]
+        self._takeover(key)
+        return "absent", None
+
     def _attach_data(self, key: str, descriptor: dict, crc: int):
         try:
             data = _open_segment(descriptor["data"])
@@ -578,8 +617,7 @@ class SharedSegmentStore:
             zlib.crc32(bytes(data.buf[:size])) & 0xFFFFFFFF
         ) != crc:
             self.detach(descriptor["data"])
-            with self._lock:
-                self.checksum_failures += 1
+            self._m_events.inc(event="checksum_failures")
             self._takeover(key)
             return None
         arrays = {}
@@ -592,8 +630,7 @@ class SharedSegmentStore:
             )
             view.setflags(write=False)
             arrays[spec["name"]] = view
-        with self._lock:
-            self.attaches += 1
+        self._m_events.inc(event="attaches")
         return {
             "kind": descriptor.get("kind"),
             "arrays": arrays,
@@ -602,8 +639,7 @@ class SharedSegmentStore:
 
     def _takeover(self, key: str) -> None:
         """Remove a stale/corrupt claim so the next acquire re-claims."""
-        with self._lock:
-            self.takeovers += 1
+        self._m_events.inc(event="takeovers")
         _unlink_quiet(self._data_name(key))
         _unlink_quiet(self._meta_name(key))
 
@@ -611,24 +647,23 @@ class SharedSegmentStore:
     def publish(self, claim: SegmentClaim, kind: str, arrays, meta=None) -> bool:
         ok = claim.publish(kind, arrays, meta)
         if ok:
-            with self._lock:
-                self.publishes += 1
+            self._m_events.inc(event="publishes")
         return ok
 
     def segment_names(self) -> List[str]:
         return list_run_segments(self.run_id)
 
     def counters(self) -> dict:
+        """The store's counters: a view over one :attr:`metrics`
+        snapshot plus the held-segment count."""
+        events = counts_by(self.metrics.snapshot(), SEGMENT_EVENTS, "event")
         with self._lock:
-            return {
-                "run_id": self.run_id,
-                "held_segments": len(self._held),
-                "attaches": self.attaches,
-                "publishes": self.publishes,
-                "takeovers": self.takeovers,
-                "checksum_failures": self.checksum_failures,
-                "wait_timeouts": self.wait_timeouts,
-            }
+            held = len(self._held)
+        return {
+            "run_id": self.run_id,
+            "held_segments": held,
+            **{event: events.get(event, 0) for event in _EVENTS},
+        }
 
     def close(self, *, sweep: bool = False) -> List[str]:
         """Release every held mapping; optionally unlink the whole run.
@@ -680,6 +715,11 @@ class ShmCacheBacking:
     def __init__(self, store: SharedSegmentStore, *, wait_s: float = 60.0) -> None:
         self.store = store
         self.wait_s = wait_s
+
+    @property
+    def metrics(self):
+        """The store's registry, merged into the serving ``/metrics``."""
+        return self.store.metrics
 
     @staticmethod
     def _key_str(key) -> str:

@@ -12,7 +12,8 @@ stays responsive.  It owns:
   caching is disabled) that every serving index attaches to via a
   :class:`~repro.service.cache.SharedCacheView`,
 * one :class:`~repro.index.base.NeighborIndex` per (dataset, engine
-  spec), built on first use behind a per-key lock — the serving
+  spec), built on first use by one
+  :class:`~repro.service.flight.SingleFlight` leader — the serving
   analogue of :class:`~repro.api.DiscSession`'s index-once contract,
 * a :class:`~repro.obs.metrics.MetricsRegistry` (``self.metrics``),
   the one place the state and its server count events.
@@ -38,7 +39,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, Optional, Tuple
 
-from repro.cancellation import CancellationToken, cancellation_scope
+from repro.cancellation import CancellationToken, cancellation_scope, current_token
 from repro.core import zoom_in, zoom_out
 from repro.core.result import DiscResult
 from repro.obs import metrics as obs_metrics
@@ -46,6 +47,7 @@ from repro.obs import trace as obs_trace
 from repro.obs.metrics import count, counts_by
 from repro.requests import METHODS, EngineSpec, SelectRequest
 from repro.service.cache import PHASE_HELP, LazyMigration, SharedCacheManager
+from repro.service.flight import SingleFlight
 from repro.service.registry import DatasetHandle, DatasetRegistry
 from repro.service.resilience import resolve_deadline
 from repro.validation import validate_radius
@@ -123,10 +125,7 @@ class ServiceState:
     #: enforced by ``repro lint``).  Counts live in ``self.metrics``,
     #: whose leaf lock never contends with index builds, which
     #: serialise on ``self._lock``.
-    _GUARDED_BY = {
-        "_indexes": "self._lock",
-        "_index_locks": "self._lock",
-    }
+    _GUARDED_BY = {"_indexes": "self._lock"}
 
     def __init__(
         self,
@@ -195,7 +194,7 @@ class ServiceState:
         )
         self.started_at = time.time()
         self._indexes: Dict[Tuple[str, str], object] = {}
-        self._index_locks: Dict[Tuple[str, str], threading.Lock] = {}
+        self._index_builds = SingleFlight()
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
@@ -463,16 +462,14 @@ class ServiceState:
                 dataset.points, dataset.metric, accelerate, options
             )
         key = (handle.dataset_id, self._engine_key(spec))
-        with self._lock:
-            index = self._indexes.get(key)
-            if index is not None:
-                return index
-            build_lock = self._index_locks.setdefault(key, threading.Lock())
-        with build_lock:
+
+        def build():
+            # Re-checked by the leader: an earlier flight may have
+            # finished between the caller's lookup and its lead.
             with self._lock:
                 index = self._indexes.get(key)
-                if index is not None:
-                    return index
+            if index is not None:
+                return index
             dataset = handle.dataset
             entry, accelerate, options = spec.resolve(
                 n=dataset.n, metric=dataset.metric
@@ -483,6 +480,12 @@ class ServiceState:
             with self._lock:
                 self._indexes[key] = index
             return index
+
+        with self._lock:
+            index = self._indexes.get(key)
+        if index is not None:
+            return index
+        return self._index_builds.run(key, build, current_token())
 
     def _cache_view(self, handle: DatasetHandle):
         """The cache view an index for ``handle`` should attach to.
@@ -521,7 +524,6 @@ class ServiceState:
                 dataset_id = key[0]
                 if dataset_id.startswith(prefix) and dataset_id != keep_dataset_id:
                     del self._indexes[key]
-                    self._index_locks.pop(key, None)
                     dropped += 1
         return dropped
 
@@ -821,9 +823,9 @@ class ServiceState:
     # Introspection
     # ------------------------------------------------------------------
     def metrics_snapshot(self) -> dict:
-        """One snapshot of every registry this state owns — its own and
-        the shared cache's — which ``GET /metrics`` renders and
-        :meth:`stats` reads."""
+        """One snapshot of every registry this state owns — its own, the
+        shared cache's and its shm store's — which ``GET /metrics``
+        renders and :meth:`stats` reads."""
         # Executor backlog: computations admitted but not yet running
         # (inflight counts queued + running; this isolates the queued
         # component).  A reading, so it is taken at snapshot time.
@@ -831,6 +833,8 @@ class ServiceState:
         snaps = [self.metrics.snapshot()]
         if self.cache is not None:
             snaps.append(self.cache.metrics.snapshot())
+            if self.cache.backing is not None:
+                snaps.append(self.cache.backing.metrics.snapshot())
         return obs_metrics.merge_snapshots(snaps)
 
     def stats(self) -> dict:

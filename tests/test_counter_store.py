@@ -53,6 +53,11 @@ CACHE_COUNTERS = {
     "build_failures": ("repro_cache_build_failures_total", {}),
     "corrupt_entries": ("repro_cache_corrupt_entries_total", {}),
 }
+#: ``/stats`` ``cache.backing`` counters; each is the ``event`` label
+#: of its shm-store sample.
+BACKING_COUNTERS = (
+    "attaches", "publishes", "takeovers", "checksum_failures", "wait_timeouts",
+)
 #: Front ``/stats`` ``supervisor`` counter -> family.
 SUPERVISOR_COUNTERS = {
     "replays": "repro_request_replays_total",
@@ -282,6 +287,16 @@ def test_cluster_rollup_equals_metrics_and_worker_sums():
                     pairs = frozenset(sample["labels"].items())
                     snapshot[(family, pairs)] = sample["value"]
         _assert_state_matches(stats, snapshot)
+        backing = stats["cache"]["backing"]
+        for key in BACKING_COUNTERS:
+            assert backing[key] == _sample(
+                snapshot, shm_mod.SEGMENT_EVENTS, event=key
+            ), key
+    # The shm store's events reach the cluster /metrics too.
+    for key in BACKING_COUNTERS:
+        summed = sum(stats["cache"]["backing"][key] for stats in workers)
+        assert summed == _sample(samples, shm_mod.SEGMENT_EVENTS, event=key), key
+    assert sum(s["cache"]["backing"]["publishes"] for s in workers) >= 1
     # HTTP counts: the cluster family merges the front and the workers.
     # Between the two reads each worker served one more GET /stats (the
     # /metrics fan-out) and answered the rollup's; the front served

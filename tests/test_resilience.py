@@ -296,8 +296,8 @@ class TestRetryPolicy:
 class TestSingleFlightFailure:
     def test_failing_build_releases_waiter_promptly(self):
         """Two threads race one failing build: the waiter gets the error
-        as soon as the builder fails, never after ``build_wait_s``."""
-        manager = SharedCacheManager(build_wait_s=30.0)
+        as soon as the builder fails, never after the liveness fallback."""
+        manager = SharedCacheManager()
         assert manager.get(KEY) is None  # this thread owns the build
         outcome = {}
 
@@ -320,7 +320,7 @@ class TestSingleFlightFailure:
         assert not thread.is_alive()
         assert outcome["kind"] == "failed"
         assert outcome["cause"] is boom
-        assert outcome["waited"] < 5.0  # prompt, not build_wait_s
+        assert outcome["waited"] < 5.0  # prompt, not the liveness fallback
         assert manager.cache_info()["build_failures"] == 1
 
     def test_build_failed_message_does_not_leak_cause_str(self):
@@ -331,7 +331,7 @@ class TestSingleFlightFailure:
     def test_cancelled_build_hands_slot_to_waiter(self):
         """A cooperative cancellation is an abandon, not a failure: no
         breaker hit, and the waiter takes over the build."""
-        manager = SharedCacheManager(build_wait_s=30.0)
+        manager = SharedCacheManager()
         assert manager.get(KEY) is None
         got = []
 
@@ -695,6 +695,94 @@ class TestHTTPErrorsAndIdempotency:
                 response = retrying.select("uniform", RADIUS, engine=ENGINE)
             assert response["result"]["selected"]
             assert response["degraded"] is False
+
+
+class TestFollowerDeadlines:
+    """A request that waits on another request's work (a follower)
+    waits only within its own deadline, whatever the leader's is."""
+
+    @staticmethod
+    def _post_later(address, delay_s, body, out, name):
+        """POST ``body`` to /select after ``delay_s``; record
+        ``(status, payload, elapsed_s)`` under ``out[name]``."""
+
+        def run():
+            time.sleep(delay_s)
+            with ServiceClient(*address) as c:
+                t0 = time.perf_counter()
+                status, payload = c.request("POST", "/select", body)
+                out[name] = (status, payload, time.perf_counter() - t0)
+
+        thread = threading.Thread(target=run)
+        thread.start()
+        return thread
+
+    def test_no_deadline_follower_outlives_its_leaders_deadline(self):
+        # The leader's 150 ms budget expires inside a 0.6 s stall; the
+        # identical follower without a deadline must compute under its
+        # own (unbounded) budget instead of inheriting the leader's 408.
+        faults = FaultInjector(
+            FaultConfig(seed=0, worker_stall_rate=1.0, worker_stall_s=0.6)
+        )
+        state = ServiceState(
+            _registry(), cache=SharedCacheManager(), workers=2, faults=faults
+        )
+        body = {"dataset": "uniform", "radius": RADIUS, "engine": ENGINE}
+        out = {}
+        with start_in_thread(state) as running:
+            address = (running.host, running.port)
+            threads = [
+                self._post_later(
+                    address, 0.0, {**body, "timeout_ms": 150}, out, "leader"
+                ),
+                self._post_later(address, 0.05, body, out, "follower"),
+            ]
+            for thread in threads:
+                thread.join(timeout=30)
+        assert out["leader"][0] == 408
+        status, payload, _ = out["follower"]
+        assert status == 200, payload
+        assert payload["coalesced"] is False
+        assert payload["result"]["selected"]
+
+    def test_cache_follower_answers_408_within_its_own_deadline(self):
+        # A Basic-DisC request with a 150 ms budget follows a concurrent
+        # Greedy-DisC build of the same radius that takes 1.5 s: it
+        # must answer 408 near its own deadline, not after the build.
+        registry = DatasetRegistry()
+        registry.register_builtin("clustered", n=800, seed=SEED)
+        faults = FaultInjector(
+            FaultConfig(seed=0, slow_build_rate=1.0, slow_build_s=1.5)
+        )
+        state = ServiceState(
+            registry,
+            cache=SharedCacheManager(faults=faults),
+            workers=2,
+            faults=faults,
+        )
+        body = {"dataset": "clustered", "radius": 0.05, "engine": {"name": "grid"}}
+        out = {}
+        with start_in_thread(state) as running:
+            address = (running.host, running.port)
+            threads = [
+                self._post_later(
+                    address, 0.0, {**body, "method": "greedy"}, out, "leader"
+                ),
+                self._post_later(
+                    address, 0.05,
+                    {**body, "method": "basic", "timeout_ms": 150},
+                    out, "follower",
+                ),
+            ]
+            for thread in threads:
+                thread.join(timeout=30)
+            coalesced = state.cache.cache_info()["coalesced_builds"]
+        status, payload, elapsed = out["follower"]
+        assert status == 408, payload
+        assert payload["error"]["code"] == "deadline_exceeded"
+        assert elapsed < 0.5
+        assert out["leader"][0] == 200
+        assert coalesced == 0  # the follower gave up; it took no value
 
 
 # ----------------------------------------------------------------------

@@ -195,7 +195,7 @@ class TestSharedCacheManager:
         assert info["coalesced_builds"] == 3
 
     def test_abandon_releases_waiters(self):
-        manager = SharedCacheManager(build_wait_s=5.0)
+        manager = SharedCacheManager()
         key = ("ds", "euclidean", 0.7)
         assert manager.get(key) is None
 

@@ -124,6 +124,76 @@ class TestSegmentStore:
         finally:
             store.close(sweep=True)
 
+    def test_attach_between_create_and_stamp_waits(self, monkeypatch):
+        # Replays the claim race in one process: store B attaches right
+        # after store A's exclusive create of the meta segment, before A
+        # writes its header.  B must read "building" — never take the
+        # zero-filled segment over and claim the same key a second time.
+        first = _fresh_store()
+        second = SharedSegmentStore(first.run_id)
+        meta_name = first._meta_name("race")
+        real_open = shm_mod._open_segment
+        in_gap = {}
+
+        def open_then_interleave(name, *, create=False, size=0, untrack=True):
+            segment = real_open(name, create=create, size=size, untrack=untrack)
+            if create and name == meta_name and not in_gap:
+                in_gap["entered"] = True
+                in_gap["second"] = second.acquire("race", wait_s=0.05)
+            return segment
+
+        monkeypatch.setattr(shm_mod, "_open_segment", open_then_interleave)
+        try:
+            status, claim = first.acquire("race")
+            assert status == "claim"
+            assert in_gap["second"] == ("miss", None)  # waited, no claim
+            assert second.counters()["takeovers"] == 0
+            monkeypatch.setattr(shm_mod, "_open_segment", real_open)
+            first.publish(claim, "csr", _sample_csr().to_shared_arrays())
+            status, got = second.acquire("race")
+            assert status == "value"
+        finally:
+            second.close()
+            first.close(sweep=True)
+
+    def test_size_zero_meta_segment_reads_as_building(self, monkeypatch):
+        # The earlier gap: ``shm_open`` created the meta segment but the
+        # claimer has not sized it, so mapping it raises ValueError.
+        import _posixshmem
+
+        store = _fresh_store()
+        name = store._meta_name("empty")
+        fd = _posixshmem.shm_open(
+            "/" + name, os.O_CREAT | os.O_EXCL | os.O_RDWR, mode=0o600
+        )
+        os.close(fd)
+        try:
+            assert store.acquire("empty", wait_s=0.05) == ("miss", None)
+            assert store.counters()["takeovers"] == 0
+            # Unstamped past the grace period: the claimer died in the
+            # gap, so the segment is taken over and the key re-claimed.
+            monkeypatch.setattr(shm_mod, "_UNSTAMPED_GRACE_S", 0.0)
+            status, claim = store.acquire("empty", wait_s=0.05)
+            assert status == "claim"
+            assert store.counters()["takeovers"] == 1
+            claim.abandon()
+        finally:
+            store.close(sweep=True)
+
+    def test_bad_magic_is_taken_over_at_once(self):
+        store = _fresh_store()
+        name = store._meta_name("garbled")
+        garbled = shm_mod._open_segment(name, create=True, size=shm_mod._META_SIZE)
+        garbled.buf[:8] = b"NOTMAGIC"
+        garbled.close()
+        try:
+            status, claim = store.acquire("garbled", wait_s=0.05)
+            assert status == "claim"
+            assert store.counters()["takeovers"] == 1
+            claim.abandon()
+        finally:
+            store.close(sweep=True)
+
     def test_sweep_orphans_reclaims_dead_runs(self):
         store = _fresh_store()  # no lease held -> run reads as orphaned
         status, claim = store.acquire("leak")
